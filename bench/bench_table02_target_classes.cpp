@@ -34,7 +34,8 @@ int main() {
         auto prompt = vp::learn_prompt_whitebox(*model, dt_train, pc);
         nn::BlackBoxAdapter box(*model);
         vp::PromptedModel pm(box, prompt);
-        pm.set_label_mapping(vp::fit_frequency_label_mapping(pm, dt_train, 10));
+        pm.set_label_mapping(vp::fit_frequency_label_mapping(
+            pm.predict_proba(dt_train.images), dt_train.labels, 10));
         acc += pm.accuracy(env.stl10.test);
       }
       row.push_back(util::cell(acc / (env.scale.population_per_side >= 4 ? 3.0 : 2.0)));

@@ -38,7 +38,8 @@ int main() {
           auto prompt = vp::learn_prompt_whitebox(*m.model, dt_train, pc);
           nn::BlackBoxAdapter box(*m.model);
           vp::PromptedModel pm(box, prompt);
-          pm.set_label_mapping(vp::fit_frequency_label_mapping(pm, dt_train, 10));
+          pm.set_label_mapping(vp::fit_frequency_label_mapping(
+              pm.predict_proba(dt_train.images), dt_train.labels, 10));
           acc = pm.accuracy(env.stl10.test);
           break;
         }

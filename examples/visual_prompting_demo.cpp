@@ -25,7 +25,8 @@ int main() {
   auto report = [&](const char* name, const vp::VisualPrompt& prompt,
                     std::size_t queries) {
     vp::PromptedModel pm(box, prompt);
-    pm.set_label_mapping(vp::fit_frequency_label_mapping(pm, dt_train, 10));
+    pm.set_label_mapping(vp::fit_frequency_label_mapping(
+        pm.predict_proba(dt_train.images), dt_train.labels, 10));
     std::printf("%-24s target accuracy %.3f  (queries: %zu)\n", name,
                 pm.accuracy(tgt.test), queries);
   };

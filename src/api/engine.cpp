@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <stdexcept>
 #include <utility>
 
 #include "serve/audit_service.hpp"
@@ -82,8 +83,7 @@ void AuditEngine::serve_loop() {
     profiler_.record(
         util::ProfileStage::kQueueWait,
         static_cast<std::uint64_t>(job.submitted.seconds() * 1e9));
-    profiler_.record_value(util::ProfileStage::kQueueDepth,
-                           async_ring_.size());
+    profiler_.record(util::ProfileStage::kQueueDepth, async_ring_.size());
     std::vector<AuditResponse> responses;
     bool completed = true;
     try {
@@ -302,45 +302,15 @@ Result<DetectorInfo> AuditEngine::fit(const FitRequest& request) {
       request.target_test == nullptr) {
     return Status::InvalidRequest("fit request is missing a dataset");
   }
-  if (request.reserved_clean->size() == 0 ||
-      request.target_train->size() == 0 || request.target_test->size() == 0) {
-    return Status::InvalidRequest("fit request has an empty dataset");
-  }
-  if (request.source_classes == 0) {
-    return Status::InvalidRequest("source_classes must be positive");
-  }
-  // fit() checks these with asserts that Release builds compile out; the
-  // façade fails them as typed errors instead.  A negative label would
-  // wrap the size_t cast below (and later index out of bounds inside
-  // prompt learning), so it is rejected outright.
-  std::size_t target_classes = 0;
-  for (int label : request.target_train->labels) {
-    if (label < 0) {
-      return Status::InvalidRequest("target_train labels must be >= 0");
-    }
-    target_classes = std::max(target_classes,
-                              static_cast<std::size_t>(label) + 1);
-  }
-  for (int label : request.target_test->labels) {
-    if (label < 0 || static_cast<std::size_t>(label) >= target_classes) {
-      return Status::InvalidRequest(
-          "target_test labels must lie in the target_train class range");
-    }
-  }
-  if (target_classes > request.source_classes) {
-    return Status::InvalidRequest(
-        "target dataset has " + std::to_string(target_classes) +
-        " classes but the suspicious task only has " +
-        std::to_string(request.source_classes) +
-        " (the output mapping needs K_T <= K_S)");
-  }
-
   core::BpromConfig config = request.config;
   config.pool = config_.pool;  // fits and audits share one executor
   core::BpromDetector detector(config);
   try {
     detector.fit(*request.reserved_clean, request.source_classes,
                  *request.target_train, *request.target_test);
+  } catch (const std::invalid_argument& e) {
+    // fit() owns the dataset and label contracts.
+    return Status::InvalidRequest(e.what());
   } catch (const std::exception& e) {
     return Status::Internal(std::string("fit failed: ") + e.what());
   }

@@ -1,9 +1,10 @@
 #include "core/bprom.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "data/ops.hpp"
 #include "util/log.hpp"
@@ -14,26 +15,29 @@ namespace bprom::core {
 BpromDetector::BpromDetector(BpromConfig config)
     : config_(std::move(config)), forest_(config_.forest) {}
 
-std::vector<float> BpromDetector::meta_feature_vector(
-    const nn::BlackBoxModel& model, const vp::VisualPrompt& prompt) const {
-  vp::PromptedModel prompted(model, prompt);
+BpromDetector::Observation BpromDetector::observe_member(
+    const nn::BlackBoxModel& box, const vp::VisualPrompt& prompt) const {
+  vp::PromptedModel prompted(box, prompt);
+  // Every query of the member happens here, before any scratch buffer
+  // below is claimed (scratch pointers must never straddle a pool fan-out).
+  // The mapping claims kMetaConfusion as double and returns before block 2
+  // claims it as size_t.
+  const nn::Tensor train_probs = prompted.predict_proba(target_train_.images);
   prompted.set_label_mapping(vp::fit_frequency_label_mapping(
-      prompted, target_train_, target_classes_));
-  nn::Tensor probs = prompted.predict_proba(query_set_.images);
-  assert(probs.dim(1) == source_classes_);
+      train_probs, target_train_.labels, target_classes_));
+  const nn::Tensor probs = prompted.predict_proba(query_set_.images);
+  Observation out;
+  out.prompted_accuracy = prompted.accuracy(target_test_);
 
   const std::size_t q = query_set_.size();
   const std::size_t k = source_classes_;
-  std::vector<float> features;
+  std::vector<float>& features = out.features;
   features.reserve(q * (k + 1) + target_classes_ + 8);
   const auto& mapping = prompted.label_mapping();
 
   // Block 1 — the paper's Algorithm 1 features: the q query confidence
   // vectors, plus the per-query probability mass on the class the learned
   // output mapping expects (the per-query form of prompted accuracy).
-  // The row staging buffer comes from the thread's scratch arena — this
-  // runs once per ensemble member per inspection, and the loop never
-  // re-enters the pool, so the pointer is safe for its whole extent.
   float* row_buf =
       util::Scratch::tls().buffer<float>(util::Scratch::kMetaRow, k);
   for (std::size_t i = 0; i < q; ++i) {
@@ -50,11 +54,8 @@ std::vector<float> BpromDetector::meta_feature_vector(
   // Block 2 — distribution-level class-subspace-inconsistency summaries
   // over the full D_T sets (low-variance forms of the paper's signal; see
   // DESIGN.md §2).  All derive from black-box confidence vectors.
-  nn::Tensor train_probs = prompted.predict_proba(target_train_.images);
-  // Scratch-backed counting buffers, claimed only after the predict_proba
-  // pool fan-out above (scratch pointers must never straddle a
-  // parallel_for).  Histogram and per-class counts share one slot; the
-  // confusion matrix is flattened target-major.
+  // Histogram and per-class counts share one slot; the confusion matrix is
+  // flattened target-major.
   std::size_t* pred_hist = util::Scratch::tls().buffer<std::size_t>(
       util::Scratch::kMetaHist, k + target_classes_);
   std::size_t* class_n = pred_hist + k;
@@ -62,6 +63,11 @@ std::vector<float> BpromDetector::meta_feature_vector(
   std::size_t* confusion = util::Scratch::tls().buffer<std::size_t>(
       util::Scratch::kMetaConfusion, target_classes_ * k);
   std::fill(confusion, confusion + target_classes_ * k, std::size_t{0});
+  // Per-class mapped accuracy profile on D_T^train, sorted ascending below:
+  // a poisoned source model caps several classes near zero.
+  float* class_acc = util::Scratch::tls().buffer<float>(
+      util::Scratch::kMetaClassAcc, target_classes_);
+  std::fill(class_acc, class_acc + target_classes_, 0.0F);
   double mean_max = 0.0;
   double mean_entropy = 0.0;
   const std::size_t n_train = target_train_.size();
@@ -76,8 +82,11 @@ std::vector<float> BpromDetector::meta_feature_vector(
                    std::log(static_cast<double>(row[j]));
       }
     }
+    const auto t = static_cast<std::size_t>(target_train_.labels[i]);
     ++pred_hist[arg];
-    ++confusion[static_cast<std::size_t>(target_train_.labels[i]) * k + arg];
+    ++class_n[t];
+    ++confusion[t * k + arg];
+    if (static_cast<int>(arg) == mapping[t]) class_acc[t] += 1.0F;
     mean_max += row[arg];
     mean_entropy += entropy;
   }
@@ -88,34 +97,18 @@ std::vector<float> BpromDetector::meta_feature_vector(
       static_cast<double>(n_train);
   // Collisions: how many target classes share their most-frequent source
   // prediction with another target class (subspace merging).
-  std::vector<std::size_t> raw_map(target_classes_);
+  std::vector<std::size_t> distinct(target_classes_);
   for (std::size_t t = 0; t < target_classes_; ++t) {
     const std::size_t* crow = confusion + t * k;
-    raw_map[t] =
+    distinct[t] =
         static_cast<std::size_t>(std::max_element(crow, crow + k) - crow);
   }
-  std::vector<std::size_t> distinct = raw_map;
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
   const double collisions = static_cast<double>(target_classes_ -
                                                 distinct.size()) /
                             static_cast<double>(target_classes_);
-  // Per-class mapped accuracy profile on D_T^train, sorted ascending:
-  // a poisoned source model caps several classes near zero.
-  float* class_acc = util::Scratch::tls().buffer<float>(
-      util::Scratch::kMetaClassAcc, target_classes_);
-  std::fill(class_acc, class_acc + target_classes_, 0.0F);
-  for (std::size_t i = 0; i < n_train; ++i) {
-    const float* row = train_probs.data() + i * k;
-    std::size_t arg = 0;
-    for (std::size_t j = 1; j < k; ++j) {
-      if (row[j] > row[arg]) arg = j;
-    }
-    const auto t = static_cast<std::size_t>(target_train_.labels[i]);
-    ++class_n[t];
-    if (static_cast<int>(arg) == mapping[t]) class_acc[t] += 1.0F;
-  }
   for (std::size_t t = 0; t < target_classes_; ++t) {
     if (class_n[t] > 0) class_acc[t] /= static_cast<float>(class_n[t]);
   }
@@ -126,25 +119,59 @@ std::vector<float> BpromDetector::meta_feature_vector(
   features.push_back(static_cast<float>(mean_max / n_train));
   features.push_back(static_cast<float>(mean_entropy / n_train));
   features.insert(features.end(), class_acc, class_acc + target_classes_);
-  return features;
+  return out;
+}
+
+BpromDetector::Observation BpromDetector::mean_observation(
+    std::vector<Observation> members) {
+  Observation mean = std::move(members[0]);
+  for (std::size_t r = 1; r < members.size(); ++r) {
+    for (std::size_t j = 0; j < mean.features.size(); ++j) {
+      mean.features[j] += members[r].features[j];
+    }
+    mean.prompted_accuracy += members[r].prompted_accuracy;
+  }
+  for (auto& v : mean.features) v /= static_cast<float>(members.size());
+  mean.prompted_accuracy /= static_cast<double>(members.size());
+  return mean;
 }
 
 void BpromDetector::fit(const nn::LabeledData& reserved_clean,
                         std::size_t source_classes,
                         const nn::LabeledData& target_train,
                         const nn::LabeledData& target_test) {
-  assert(reserved_clean.size() > 0 && target_train.size() > 0 &&
-         target_test.size() > 0);
+  // Every contract is checked before any member changes, so a rejected
+  // fit leaves the detector as it was.
+  for (const nn::LabeledData* set : {&reserved_clean, &target_train,
+                                     &target_test}) {
+    if (set->size() == 0) {
+      throw std::invalid_argument(
+          "fit needs non-empty D_S, D_T^train and D_T^test sets");
+    }
+    if (*std::min_element(set->labels.begin(), set->labels.end()) < 0) {
+      throw std::invalid_argument("labels must be >= 0");
+    }
+  }
+  const auto max_label = [](const nn::LabeledData& d) {
+    return static_cast<std::size_t>(
+        *std::max_element(d.labels.begin(), d.labels.end()));
+  };
+  const std::size_t target_classes = max_label(target_train) + 1;
+  if (max_label(target_test) >= target_classes) {
+    throw std::invalid_argument(
+        "D_T^test labels must lie in D_T^train's class range");
+  }
+  if (target_classes > source_classes) {
+    throw std::invalid_argument(
+        "target dataset has " + std::to_string(target_classes) +
+        " classes but the suspicious task only has " +
+        std::to_string(source_classes) +
+        " (the output mapping needs K_T <= K_S)");
+  }
   source_classes_ = source_classes;
+  target_classes_ = target_classes;
   target_train_ = target_train;
   target_test_ = target_test;
-  target_classes_ = 0;
-  for (int label : target_train.labels) {
-    target_classes_ =
-        std::max(target_classes_, static_cast<std::size_t>(label) + 1);
-  }
-  assert(target_classes_ <= source_classes_ &&
-         "identity/frequency output mapping requires K_T <= K_S");
   diag_ = FitDiagnostics{};
 
   util::Rng rng(config_.seed);
@@ -200,8 +227,8 @@ void BpromDetector::fit(const nn::LabeledData& reserved_clean,
 
     nn::BlackBoxAdapter adapter(*shadow);
     const std::size_t ensemble = std::max<std::size_t>(1, config_.prompt_ensemble);
-    std::vector<float> mean_feature;
-    double acc = 0.0;
+    std::vector<Observation> members;
+    members.reserve(ensemble);
     for (std::size_t r = 0; r < ensemble; ++r) {
       vp::VisualPrompt prompt = [&] {
         if (config_.prompt_shadows_blackbox) {
@@ -213,28 +240,14 @@ void BpromDetector::fit(const nn::LabeledData& reserved_clean,
         pc.seed = model_rng.next_u64();
         return vp::learn_prompt_whitebox(*shadow, target_train_, pc);
       }();
-
-      vp::PromptedModel prompted(adapter, prompt);
-      prompted.set_label_mapping(vp::fit_frequency_label_mapping(
-          prompted, target_train_, target_classes_));
-      acc += prompted.accuracy(target_test_);
-
-      auto feature = meta_feature_vector(adapter, prompt);
-      if (mean_feature.empty()) {
-        mean_feature = std::move(feature);
-      } else {
-        for (std::size_t j = 0; j < mean_feature.size(); ++j) {
-          mean_feature[j] += feature[j];
-        }
-      }
+      members.push_back(observe_member(adapter, prompt));
     }
-    for (auto& v : mean_feature) v /= static_cast<float>(ensemble);
-    acc /= static_cast<double>(ensemble);
-    shadow_acc[i] = acc;
-    features[i] = std::move(mean_feature);
+    Observation mean = mean_observation(std::move(members));
+    shadow_acc[i] = mean.prompted_accuracy;
+    features[i] = std::move(mean.features);
     labels[i] = is_backdoor ? 1 : 0;
     util::log_debug() << "shadow " << i << (is_backdoor ? " (backdoor)" : " (clean)")
-                      << " prompted acc " << acc;
+                      << " prompted acc " << shadow_acc[i];
   }, config_.pool);
 
   // Collected after the join so diagnostics keep the serial ordering (clean
@@ -273,27 +286,27 @@ api::Status BpromDetector::inspectable(const nn::BlackBoxModel* model) const {
 Verdict BpromDetector::inspect(const nn::BlackBoxModel& suspicious,
                                std::uint64_t seed_salt,
                                const InspectDeadline* deadline) const {
-  assert(fitted_);
-  assert(suspicious.num_classes() == source_classes_);
-  const std::size_t queries_before = suspicious.query_count();
+  if (api::Status s = inspectable(&suspicious); !s.ok()) {
+    throw std::invalid_argument(s.message());
+  }
 
-  // Black-box prompt learning (CMA-ES) — the only access to the suspicious
-  // model is confidence-vector queries.  An ensemble of independently
-  // seeded prompts suppresses prompt-optimization noise.  Each ensemble
-  // member depends only on its index, so members run on per-thread model
-  // replicas when the black box supports replicate(); the replicas are
-  // exact deep copies, making the parallel result bit-identical to the
-  // serial one for any thread count.
-  Verdict verdict;
+  // Black-box prompt learning — the only access to the suspicious model is
+  // confidence-vector queries.  An ensemble of independently seeded prompts
+  // suppresses prompt-optimization noise.  Each ensemble member depends
+  // only on its index, so members run on per-thread model replicas when
+  // the black box supports replicate(); the replicas are exact deep
+  // copies, making the parallel result bit-identical to the serial one for
+  // any thread count.
+  struct Member {
+    Observation observation;
+    /// Everything the member spent: prompt learning (its own replicas
+    /// included) plus the observation pass on its box.
+    std::size_t queries = 0;
+    bool exhausted = false;
+    bool ran = false;
+  };
   const std::size_t ensemble = std::max<std::size_t>(1, config_.prompt_ensemble);
-  std::vector<std::vector<float>> features(ensemble);
-  std::vector<double> accuracies(ensemble, 0.0);
-  // Queries that prompt learning served on its own internal replicas; they
-  // never reach the counter of the box a member sees, so they must be added
-  // back explicitly for the verdict's accounting to stay exact.
-  std::vector<std::size_t> hidden_queries(ensemble, 0);
-  std::vector<char> exhausted(ensemble, 0);
-  std::vector<char> skipped(ensemble, 0);
+  std::vector<Member> members(ensemble);
 
   const auto run_member = [&](std::size_t r, const nn::BlackBoxModel& box) {
     // The deadline boundary: a member either starts in time and runs to
@@ -301,21 +314,16 @@ Verdict BpromDetector::inspect(const nn::BlackBoxModel& suspicious,
     // outright.  On a serial run this is literally "between ensemble
     // members"; on a replica run it gates each member as its turn comes up
     // on the pool.
-    if (deadline != nullptr && deadline->expired()) {
-      skipped[r] = 1;
-      return;
-    }
+    if (deadline != nullptr && deadline->expired()) return;
     vp::BlackBoxPromptConfig pc = config_.prompt_blackbox;
     pc.seed = config_.prompt_blackbox.seed + seed_salt + 7919 * (r + 1);
-    auto bb = vp::learn_prompt_blackbox(box, target_train_, pc);
-    hidden_queries[r] = bb.replica_queries;
-    exhausted[r] = bb.budget_exhausted ? 1 : 0;
-
-    features[r] = meta_feature_vector(box, bb.prompt);
-    vp::PromptedModel prompted(box, bb.prompt);
-    prompted.set_label_mapping(vp::fit_frequency_label_mapping(
-        prompted, target_train_, target_classes_));
-    accuracies[r] = prompted.accuracy(target_test_);
+    const auto bb = vp::learn_prompt_blackbox(box, target_train_, pc);
+    const std::size_t before = box.query_count();
+    Member& member = members[r];
+    member.observation = observe_member(box, bb.prompt);
+    member.queries = bb.queries + (box.query_count() - before);
+    member.exhausted = bb.budget_exhausted;
+    member.ran = true;
   };
 
   std::vector<std::unique_ptr<nn::BlackBoxModel>> replicas;
@@ -342,38 +350,28 @@ Verdict BpromDetector::inspect(const nn::BlackBoxModel& suspicious,
     for (std::size_t r = 0; r < ensemble; ++r) run_member(r, suspicious);
   }
 
-  // A deadline abort short-circuits the reduction: some feature slots were
-  // never filled, and the verdict's only meaningful payload is the exact
-  // query spend of the members that did run.
-  bool any_skipped = false;
-  for (char s : skipped) any_skipped |= (s != 0);
-  if (any_skipped) {
+  Verdict verdict;
+  bool all_ran = true;
+  std::vector<Observation> observations;
+  observations.reserve(ensemble);
+  for (Member& member : members) {
+    verdict.queries += member.queries;
+    all_ran &= member.ran;
+    observations.push_back(std::move(member.observation));
+  }
+  // A deadline abort skips the reduction: the verdict's only meaningful
+  // payload is the exact query spend of the members that did run.
+  if (!all_ran) {
     verdict.deadline_exceeded = true;
-    verdict.queries = suspicious.query_count() - queries_before;
-    for (const auto& replica : replicas) {
-      verdict.queries += replica->query_count();
-    }
-    for (std::size_t q : hidden_queries) verdict.queries += q;
     return verdict;
   }
-
-  // Reduce in ascending member order so the float accumulation matches the
-  // serial loop exactly.
-  std::vector<float> mean_feature = std::move(features[0]);
-  for (std::size_t r = 1; r < ensemble; ++r) {
-    for (std::size_t j = 0; j < mean_feature.size(); ++j) {
-      mean_feature[j] += features[r][j];
-    }
+  for (const Member& member : members) {
+    verdict.budget_exhausted |= member.exhausted;
   }
-  for (auto& v : mean_feature) v /= static_cast<float>(ensemble);
-  for (double acc : accuracies) verdict.prompted_accuracy += acc;
-  verdict.prompted_accuracy /= static_cast<double>(ensemble);
-  verdict.score = forest_.predict_proba(mean_feature);
+  const Observation mean = mean_observation(std::move(observations));
+  verdict.prompted_accuracy = mean.prompted_accuracy;
+  verdict.score = forest_.predict_proba(mean.features);
   verdict.backdoored = verdict.score >= 0.5;
-  verdict.queries = suspicious.query_count() - queries_before;
-  for (const auto& replica : replicas) verdict.queries += replica->query_count();
-  for (std::size_t q : hidden_queries) verdict.queries += q;
-  for (char e : exhausted) verdict.budget_exhausted |= (e != 0);
   return verdict;
 }
 

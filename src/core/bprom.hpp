@@ -6,11 +6,12 @@
 //      copies, a *single* attack type suffices — the class-subspace
 //      inconsistency is attack-agnostic).
 //   2. Prompting: learn a visual prompt per shadow model on the external
-//      clean set D_T (white-box backprop — the defender owns the shadows).
+//      clean set D_T (by default with the same black-box optimizer used at
+//      detection; white-box backprop is optional).
 //   3. Meta-model: concatenate q prompted confidence vectors per shadow on
 //      a fixed query set D_Q ⊂ D_T^test; train a random forest.
-// Detection: prompt the suspicious model black-box (CMA-ES), collect the
-// same q confidence vectors, ask the forest.
+// Detection: prompt the suspicious model black-box (SPSA by default,
+// CMA-ES optional), collect the same q confidence vectors, ask the forest.
 #pragma once
 
 #include <cstdint>
@@ -137,6 +138,10 @@ class BpromDetector {
   ///   reserved_clean — D_S (the small clean set from the source task)
   ///   source_classes — K_S (class count of the suspicious model's task)
   ///   target_train/target_test — D_T split (external clean dataset)
+  /// Throws std::invalid_argument, leaving the detector untouched, when a
+  /// set is empty, a label is negative, a D_T^test label lies outside
+  /// D_T^train's class range, or K_T > K_S (the output mapping is
+  /// one-to-one).
   void fit(const nn::LabeledData& reserved_clean, std::size_t source_classes,
            const nn::LabeledData& target_train,
            const nn::LabeledData& target_test);
@@ -149,16 +154,18 @@ class BpromDetector {
   /// seeding.  A non-null `deadline` is re-checked between ensemble
   /// members: once it expires, remaining members are skipped and the
   /// verdict comes back with deadline_exceeded set and the exact queries
-  /// spent so far (see Verdict::deadline_exceeded).
+  /// spent so far (see Verdict::deadline_exceeded).  Throws
+  /// std::invalid_argument with inspectable()'s message when that check
+  /// fails.
   [[nodiscard]] Verdict inspect(const nn::BlackBoxModel& suspicious,
                                 std::uint64_t seed_salt = 0,
                                 const InspectDeadline* deadline = nullptr)
       const;
 
   /// Typed precondition check for inspect(): OK when `model` is non-null,
-  /// the detector is fitted, and the class counts agree.  inspect() itself
-  /// only asserts (compiled out in Release), so serving layers call this
-  /// first and surface the api::Status instead of crashing or misreading.
+  /// the detector is fitted, and the class counts agree.  inspect() throws
+  /// on a failed check; serving layers call this first to surface the
+  /// typed api::Status instead.
   [[nodiscard]] api::Status inspectable(const nn::BlackBoxModel* model) const;
 
   /// Threshold-free convenience: the raw backdoor score in [0, 1].
@@ -187,8 +194,21 @@ class BpromDetector {
   static BpromDetector load(io::Reader& reader);
 
  private:
-  [[nodiscard]] std::vector<float> meta_feature_vector(
-      const nn::BlackBoxModel& model, const vp::VisualPrompt& prompt) const;
+  /// What one prompted ensemble member contributes to a verdict.
+  struct Observation {
+    std::vector<float> features;  ///< meta features
+    double prompted_accuracy = 0.0;  ///< mapped accuracy on D_T^test
+  };
+
+  /// The one routine fit() and inspect() share, so the forest is trained
+  /// and evaluated on features from the same code.  One pass over
+  /// D_T^train feeds both the output mapping and the block-2 statistics,
+  /// then one pass over D_Q and one over D_T^test.
+  [[nodiscard]] Observation observe_member(
+      const nn::BlackBoxModel& box, const vp::VisualPrompt& prompt) const;
+  /// Ensemble mean, adding members in ascending order so the float
+  /// accumulation is the same for any thread count.
+  static Observation mean_observation(std::vector<Observation> members);
 
   BpromConfig config_;
   bool fitted_ = false;

@@ -34,8 +34,8 @@ std::vector<AuditResponse> AuditService::audit(
     AuditResponse& response = responses[i];
     response.model_id = batch[i].model_id;
     util::Stopwatch watch;
-    // Validate up front: the inspect() asserts are compiled out in Release
-    // builds, and one malformed request must not take the batch down.
+    // Validate up front: one malformed request must not take the batch
+    // down.
     if (batch[i].model == nullptr) {
       response.error = "null model";
     } else if (!detector_->fitted()) {

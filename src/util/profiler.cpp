@@ -10,7 +10,7 @@ namespace {
 /// Bucket index: position of the highest set bit, so bucket b spans
 /// [2^(b-1), 2^b) and bucket 0 holds exact zeros.  Clamped to the last
 /// bucket: bit_width of a value with bit 63 set is 64, one past the
-/// 64-entry histogram — record_value() accepts arbitrary magnitudes, so
+/// 64-entry histogram — record() accepts arbitrary magnitudes, so
 /// the top bucket absorbs [2^62, 2^64) instead of indexing out of bounds.
 std::size_t bucket_of(std::uint64_t value) {
   constexpr std::size_t kLast = 63;

@@ -14,7 +14,7 @@
 //
 // Stages are a fixed enum: the audit path records wall time for resolve /
 // inspect / whole-request / queue-wait, and instantaneous values (queue
-// depth) through the same channel with record_value().  Histogram buckets
+// depth) through the same record() channel.  Histogram buckets
 // are powers of two of the raw unit (nanoseconds for timers), which is
 // what makes p50/p95/p99 extraction allocation-free and O(64).
 #pragma once
@@ -80,11 +80,6 @@ class Profiler {
 
   /// Record one sample (relaxed atomics into the live epoch buffer).
   void record(ProfileStage stage, std::uint64_t value);
-
-  /// Alias that reads as intended at value-sampling call sites.
-  void record_value(ProfileStage stage, std::uint64_t value) {
-    record(stage, value);
-  }
 
   /// Cumulative statistics since construction: flips the epoch, folds the
   /// retired buffer into the running totals, and returns them.  Readers

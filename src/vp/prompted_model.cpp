@@ -58,25 +58,25 @@ void PromptedModel::set_label_mapping(std::vector<int> target_to_source) {
   mapping_ = std::move(target_to_source);
 }
 
-std::vector<int> fit_frequency_label_mapping(const PromptedModel& prompted,
-                                             const nn::LabeledData& dt_train,
+std::vector<int> fit_frequency_label_mapping(const Tensor& probs,
+                                             const std::vector<int>& labels,
                                              std::size_t target_classes) {
-  const std::size_t ks = prompted.model().num_classes();
+  const std::size_t ks = probs.dim(1);
   assert(target_classes <= ks);
-  Tensor probs = prompted.predict_proba(dt_train.images);
+  assert(probs.dim(0) == labels.size());
   // Confusion counts C[t][s], flattened target-major in the thread's
-  // scratch arena.  Claimed only after the predict_proba fan-out above —
-  // scratch pointers must never straddle a parallel_for.
+  // scratch arena.  Nothing below re-enters the pool, so the buffer is
+  // safe until this function returns.
   double* counts = util::Scratch::tls().buffer<double>(
       util::Scratch::kMetaConfusion, target_classes * ks);
   std::fill(counts, counts + target_classes * ks, 0.0);
-  for (std::size_t i = 0; i < dt_train.size(); ++i) {
+  for (std::size_t i = 0; i < labels.size(); ++i) {
     const float* row = probs.data() + i * ks;
     std::size_t arg = 0;
     for (std::size_t j = 1; j < ks; ++j) {
       if (row[j] > row[arg]) arg = j;
     }
-    counts[static_cast<std::size_t>(dt_train.labels[i]) * ks + arg] += 1.0;
+    counts[static_cast<std::size_t>(labels[i]) * ks + arg] += 1.0;
   }
   // Greedy one-to-one assignment by descending count.
   std::vector<int> mapping(target_classes, -1);

@@ -1,8 +1,10 @@
-// Prompted model: f_T = f_S ∘ V(·|theta) with identity output mapping.
+// Prompted model: f_T = w ∘ f_S ∘ V(·|theta).
 //
-// The paper omits the optional output-mapping step (Section 3), so target
-// class i maps to source class i; this requires K_T <= K_S, which holds for
-// every dataset pairing in the evaluation.
+// The paper omits the optional output-mapping step w (Section 3).  The
+// library learns a one-to-one frequency mapping instead of the identity
+// (fit_frequency_label_mapping below); either way target classes map onto
+// distinct source classes, which requires K_T <= K_S.  That holds for every
+// dataset pairing in the evaluation.
 #pragma once
 
 #include "nn/blackbox.hpp"
@@ -46,9 +48,10 @@ class PromptedModel {
 /// its most frequent unassigned source class (one-to-one).  On a poisoned
 /// source model several target classes compete for the same (target-attack)
 /// source subspace, capping mapped accuracy — the measurable form of class
-/// subspace inconsistency.
-std::vector<int> fit_frequency_label_mapping(const PromptedModel& prompted,
-                                             const nn::LabeledData& dt_train,
+/// subspace inconsistency.  `probs` holds the prompted confidence vectors
+/// [N, K_S] of the N target training images, whose labels are `labels`.
+std::vector<int> fit_frequency_label_mapping(const Tensor& probs,
+                                             const std::vector<int>& labels,
                                              std::size_t target_classes);
 
 }  // namespace bprom::vp

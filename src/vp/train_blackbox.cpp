@@ -127,7 +127,7 @@ BlackBoxPromptResult learn_prompt_blackbox(
   prompt.set_theta(best_x);
   BlackBoxPromptResult out{std::move(prompt), best_f,
                            (model.query_count() - query_base) + replica_queries,
-                           replica_queries, /*budget_exhausted=*/evaluations == 0};
+                           /*budget_exhausted=*/evaluations == 0};
   return out;
 }
 

@@ -34,13 +34,9 @@ struct BlackBoxPromptResult {
   double final_loss = 0.0;
   /// Exact total queries issued while learning — those served by `model`
   /// itself plus those served by internal replicate() copies when candidate
-  /// evaluation fans out over threads.
+  /// evaluation fans out over threads (which never reach `model`'s
+  /// counter).
   std::size_t queries = 0;
-  /// The subset of `queries` served by internal replicas.  These never show
-  /// up on the caller's model counter, so callers that track query budgets
-  /// through their own counters must add this back (BpromDetector::inspect
-  /// does) to stay exact.
-  std::size_t replica_queries = 0;
   /// True when `max_evaluations` could not cover a single optimizer
   /// evaluation: `prompt` is then the unoptimized zero prompt.  Callers that
   /// owe their users a typed error (the api façade) check this instead of

@@ -445,6 +445,7 @@ TEST(ApiEngine, DeadlineExceededMidAuditReportsExactSpend) {
   // is reported exactly so callers can meter paid models.
   EXPECT_GT(responses[0].verdict.queries, 0U);
   EXPECT_GT(slow.query_count(), 0U);
+  EXPECT_EQ(responses[0].verdict.queries, slow.query_count());
   // The aborted inspection never reaches the meta-classifier: no verdict.
   EXPECT_EQ(engine.stats().verdicts, 0U);
   EXPECT_EQ(engine.stats().deadline_misses, 1U);

@@ -1,5 +1,8 @@
 // End-to-end BPROM pipeline tests (smoke scale).
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+
 #include "core/experiment.hpp"
 namespace bprom {
 namespace {
@@ -84,6 +87,101 @@ TEST(Bprom, TrainedBackdooredModelHasTriggers) {
                                         93, scale);
   EXPECT_GT(m.asr, 0.7);
   EXPECT_GT(m.clean_accuracy, 0.75);
+}
+
+/// The cheapest detector fit() accepts: one MLP shadow per side, a single
+/// short black-box prompt, a handful of trees.
+const core::BpromDetector& micro_detector() {
+  static const core::BpromDetector detector = [] {
+    core::BpromConfig config;
+    config.shadow_arch = nn::ArchKind::kMlp;
+    config.clean_shadows = 1;
+    config.backdoor_shadows = 1;
+    config.shadow_train.epochs = 1;
+    config.prompt_blackbox.max_evaluations = 8;
+    config.prompt_ensemble = 1;
+    config.query_samples = 2;
+    config.forest.trees = 4;
+    auto src = data::make_dataset(data::DatasetKind::kCifar10, 8, 96, 32);
+    auto tgt = data::make_dataset(data::DatasetKind::kStl10, 9, 96, 32);
+    core::BpromDetector fitted(config);
+    fitted.fit(src.train, 10, tgt.train, tgt.test);
+    return fitted;
+  }();
+  return detector;
+}
+
+std::unique_ptr<nn::Model> mlp_with_classes(std::size_t classes) {
+  util::Rng rng(3);
+  return nn::make_model(nn::ArchKind::kMlp,
+                        data::profile(data::DatasetKind::kCifar10).shape,
+                        classes, rng);
+}
+
+// The contracts below hold in every build type: they throw, they do not
+// assert.
+TEST(BpromContracts, InspectRejectsUnfittedDetector) {
+  auto model = mlp_with_classes(10);
+  nn::BlackBoxAdapter box(*model);
+  const core::BpromDetector detector;
+  try {
+    (void)detector.inspect(box);
+    FAIL() << "inspect() accepted an unfitted detector";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), detector.inspectable(&box).message());
+  }
+  EXPECT_EQ(box.query_count(), 0u);
+}
+
+TEST(BpromContracts, InspectRejectsClassCountMismatch) {
+  const auto& detector = micro_detector();
+  ASSERT_TRUE(detector.fitted());
+  auto model = mlp_with_classes(5);
+  nn::BlackBoxAdapter box(*model);
+  try {
+    (void)detector.inspect(box);
+    FAIL() << "inspect() accepted a 5-class model on a 10-class detector";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), detector.inspectable(&box).message());
+  }
+  EXPECT_EQ(box.query_count(), 0u);
+}
+
+TEST(BpromContracts, FitRejectsNegativeLabelWithoutChangingState) {
+  core::BpromDetector detector = micro_detector();
+  const auto before = detector.diagnostics().meta_features;
+  auto src = data::make_dataset(data::DatasetKind::kCifar10, 10, 64, 16);
+  auto tgt = data::make_dataset(data::DatasetKind::kStl10, 11, 64, 16);
+  tgt.train.labels[3] = -1;
+  EXPECT_THROW(detector.fit(src.train, 10, tgt.train, tgt.test),
+               std::invalid_argument);
+  EXPECT_TRUE(detector.fitted());
+  EXPECT_EQ(detector.diagnostics().meta_features, before);
+
+  tgt.train.labels[3] = 0;
+  src.train.labels[0] = -2;
+  EXPECT_THROW(detector.fit(src.train, 10, tgt.train, tgt.test),
+               std::invalid_argument);
+  // A D_T^test label outside D_T^train's class range is rejected too.
+  src.train.labels[0] = 0;
+  tgt.test.labels[0] = 10;
+  EXPECT_THROW(detector.fit(src.train, 10, tgt.train, tgt.test),
+               std::invalid_argument);
+  EXPECT_EQ(detector.diagnostics().meta_features, before);
+}
+
+TEST(BpromContracts, FitRejectsMoreTargetThanSourceClasses) {
+  core::BpromDetector detector = micro_detector();
+  auto src = data::make_dataset(data::DatasetKind::kCifar10, 12, 64, 16);
+  auto tgt = data::make_dataset(data::DatasetKind::kStl10, 13, 64, 16);
+  // K_T = 10 > K_S = 2: no one-to-one output mapping exists.
+  EXPECT_THROW(detector.fit(src.train, 2, tgt.train, tgt.test),
+               std::invalid_argument);
+  EXPECT_EQ(detector.source_classes(), 10u);
+  // An empty set is rejected the same way.
+  EXPECT_THROW(detector.fit(src.train, 10, nn::LabeledData{}, tgt.test),
+               std::invalid_argument);
+  EXPECT_EQ(detector.source_classes(), 10u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -40,11 +41,13 @@ core::ExperimentScale micro_scale() {
 }
 
 /// Black box that deliberately does not support replicate(): forces the
-/// serial ensemble fallback inside inspect().
+/// serial ensemble fallback inside inspect().  It records the row count of
+/// every query call, so a test can pin what one inspection asks the model.
 class NonReplicableBox final : public nn::BlackBoxModel {
  public:
   explicit NonReplicableBox(nn::Model& model) : inner_(model) {}
   nn::Tensor predict_proba(const nn::Tensor& images) const override {
+    rows_.push_back(images.dim(0));
     return inner_.predict_proba(images);
   }
   [[nodiscard]] std::size_t num_classes() const override {
@@ -56,9 +59,13 @@ class NonReplicableBox final : public nn::BlackBoxModel {
   [[nodiscard]] std::size_t query_count() const override {
     return inner_.query_count();
   }
+  [[nodiscard]] const std::vector<std::size_t>& rows() const { return rows_; }
 
  private:
   nn::BlackBoxAdapter inner_;
+  // Written only by the serial ensemble path: nothing queries a
+  // non-replicable box from two threads.
+  mutable std::vector<std::size_t> rows_;
 };
 
 TEST(ModelClone, CloneIsDeepAndLogitIdentical) {
@@ -120,6 +127,41 @@ TEST(ParallelInspect, VerdictsMatchAcrossThreadCountsAndReplicationModes) {
   EXPECT_EQ(serial.score, fallback.score);
   EXPECT_EQ(serial.prompted_accuracy, fallback.prompted_accuracy);
   EXPECT_EQ(serial.queries, fallback.queries);
+}
+
+TEST(ParallelInspect, OneInspectionQueriesEachTargetSetOncePerMember) {
+  auto src = data::make_dataset(data::DatasetKind::kCifar10, 33, 400, 160);
+  auto tgt = data::make_dataset(data::DatasetKind::kStl10, 34, 300, 160);
+  const auto scale = micro_scale();
+  auto detector = core::fit_detector(src, tgt, 0.10,
+                                     nn::ArchKind::kResNet18Mini, 7, scale);
+  ASSERT_EQ(detector.config().prompt_ensemble, 2U);
+  ASSERT_EQ(detector.config().prompt_blackbox.eval_samples, 48U);
+  auto suspicious = core::train_clean_model(src, nn::ArchKind::kResNet18Mini,
+                                            50, scale);
+  NonReplicableBox box(*suspicious.model);
+  const auto verdict = detector.inspect(box);
+
+  // Per member: one pass over D_T^train (256 rows) feeding both the output
+  // mapping and the meta features, one over D_Q (q = 4), one over D_T^test
+  // (160 rows in accuracy()'s 128 + 32 batches); every other call is a
+  // prompt-learning evaluation of eval_samples rows.
+  std::map<std::size_t, std::size_t> calls;
+  std::size_t total = 0;
+  for (std::size_t rows : box.rows()) {
+    ++calls[rows];
+    total += rows;
+  }
+  EXPECT_EQ(calls[256], 2U);
+  EXPECT_EQ(calls[4], 2U);
+  EXPECT_EQ(calls[128], 2U);
+  EXPECT_EQ(calls[32], 2U);
+  for (const auto& [rows, count] : calls) {
+    if (rows == 256 || rows == 4 || rows == 128 || rows == 32) continue;
+    EXPECT_EQ(rows, 48U) << count << " calls of " << rows << " rows";
+  }
+  EXPECT_EQ(verdict.queries, total);
+  EXPECT_EQ(verdict.queries, box.query_count());
 }
 
 TEST(DetectorStore, PutGetListAndCacheBehavior) {

@@ -98,7 +98,8 @@ TEST(LabelMapping, GreedyAssignmentIsOneToOne) {
   auto model = nn::make_model(nn::ArchKind::kMlp, src.profile.shape, 10, rng);
   nn::BlackBoxAdapter box(*model);
   PromptedModel pm(box, VisualPrompt(src.profile.shape));
-  auto mapping = fit_frequency_label_mapping(pm, src.train, 10);
+  auto mapping = fit_frequency_label_mapping(
+      pm.predict_proba(src.train.images), src.train.labels, 10);
   std::vector<bool> used(10, false);
   for (int s : mapping) {
     ASSERT_GE(s, 0);
@@ -154,7 +155,8 @@ TEST(PromptedModel, AccuracyUsesMapping) {
   nn::BlackBoxAdapter box(*model);
   PromptedModel pm(box, VisualPrompt(src.profile.shape));
   const double id_acc = pm.accuracy(src.test);
-  pm.set_label_mapping(fit_frequency_label_mapping(pm, src.train, 10));
+  pm.set_label_mapping(fit_frequency_label_mapping(
+      pm.predict_proba(src.train.images), src.train.labels, 10));
   const double mapped_acc = pm.accuracy(src.test);
   // Frequency mapping can only improve (or match) an untrained model's
   // identity accuracy in expectation; both must be valid probabilities.
