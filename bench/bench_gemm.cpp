@@ -30,12 +30,13 @@ struct Shape {
 };
 
 // The first rows are the framework's hot shapes: Linear forward (x . W^T),
-// Linear dW (G^T . X), Conv2d forward over im2col (W . cols^T), attention
-// scores (Q . K^T).  The "large*" rows are the acceptance-gate shapes.
+// Linear dW (G^T . X), Conv2d forward over the patch-major im2col matrix
+// (W . cols), attention scores (Q . K^T).  The "large*" rows are the
+// acceptance-gate shapes.
 const Shape kShapes[] = {
     {"linear_fwd_b128", 128, 256, 192, Trans::kNo, Trans::kYes},
     {"linear_dw_b128", 256, 192, 128, Trans::kYes, Trans::kNo},
-    {"conv_fwd_c64", 64, 256, 288, Trans::kNo, Trans::kYes},
+    {"conv_fwd_c64", 64, 256, 288, Trans::kNo, Trans::kNo},
     {"attn_scores_t256", 256, 256, 64, Trans::kNo, Trans::kYes},
     {"large_384", 384, 384, 384, Trans::kNo, Trans::kNo},
     {"large_512", 512, 512, 512, Trans::kNo, Trans::kNo},

@@ -23,11 +23,9 @@ ResidualBlock::ResidualBlock(const ResidualBlock& other)
       proj_(other.proj_ ? std::make_unique<Conv2d>(*other.proj_) : nullptr),
       proj_bn_(other.proj_bn_ ? std::make_unique<BatchNorm2d>(*other.proj_bn_)
                               : nullptr),
-      relu_out_(other.relu_out_),
-      skip_input_(other.skip_input_) {}
+      relu_out_(other.relu_out_) {}
 
 Tensor ResidualBlock::forward(const Tensor& x, bool train) {
-  skip_input_ = x;
   Tensor h = conv1_.forward(x, train);
   h = bn1_.forward(h, train);
   h = relu1_.forward(h, train);
@@ -90,7 +88,6 @@ DepthwiseSeparableBlock::DepthwiseSeparableBlock(std::size_t in_c,
       bn2_(out_c) {}
 
 Tensor DepthwiseSeparableBlock::forward(const Tensor& x, bool train) {
-  skip_input_ = x;
   Tensor h = dw_.forward(x, train);
   h = bn1_.forward(h, train);
   h = relu1_.forward(h, train);

@@ -35,7 +35,6 @@ class ResidualBlock final : public Layer {
   std::unique_ptr<Conv2d> proj_;  // 1x1 when shape changes, else null
   std::unique_ptr<BatchNorm2d> proj_bn_;
   ReLU relu_out_;
-  Tensor skip_input_;
 };
 
 /// Depthwise 3x3 -> BN -> ReLU -> pointwise 1x1 -> BN (+skip when shape
@@ -66,7 +65,6 @@ class DepthwiseSeparableBlock final : public Layer {
   Conv2d pw_;
   BatchNorm2d bn2_;
   ReLU relu_out_;
-  Tensor skip_input_;
 };
 
 }  // namespace bprom::nn

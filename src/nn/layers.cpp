@@ -193,11 +193,12 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   Tensor y({batch_, out_c_, oh, ow});
   const float* w = weight_.value.data();
   const float* b = bias_.value.data();
-  // Per sample: y_b = W . cols_b^T on top of the broadcast bias.  When the
-  // batch loop shards over the pool the per-sample GEMMs stay serial; a
-  // small batch lets one GEMM use the tile grid instead.  Both choices
-  // depend only on problem size, and the kernel arithmetic is identical
-  // either way, so results are bit-identical for any thread count.
+  // Per sample: y_b = W . cols_b on top of the broadcast bias, with cols_b
+  // the sample's patch-major [patch, hw] block.  When the batch loop shards
+  // over the pool the per-sample GEMMs stay serial; a small batch lets one
+  // GEMM use the tile grid instead.  Both choices depend only on problem
+  // size, and the kernel arithmetic is identical either way, so results are
+  // bit-identical for any thread count.
   const bool shard_batch =
       batch_ > 1 && batch_ * hw * out_c_ * patch >= kParallelOps;
   const auto sample = [&](std::size_t bi) {
@@ -205,8 +206,8 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       std::fill_n(yb + oc * hw, hw, b[oc]);
     }
-    tensor::gemm(Trans::kNo, Trans::kYes, out_c_, hw, patch, w, patch,
-                 cols_.data() + bi * hw * patch, patch, yb, hw,
+    tensor::gemm(Trans::kNo, Trans::kNo, out_c_, hw, patch, w, patch,
+                 cols_.data() + bi * patch * hw, hw, yb, hw,
                  /*accumulate=*/true, /*allow_parallel=*/!shard_batch);
   };
   if (shard_batch) {
@@ -224,24 +225,25 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t patch = geom_.patch_size();
   assert(grad_out.dim(0) == batch_ && grad_out.dim(1) == out_c_);
 
-  dcols_.resize({batch_ * hw, patch});
+  dcols_.resize({batch_ * patch, hw});
   const float* w = weight_.value.data();
   const std::size_t ops = batch_ * hw * out_c_ * patch;
   const bool shard_batch = batch_ >= 2 && ops >= kParallelOps;
 
-  // Accumulate sample range [lo, hi): dcols patches are owned by the range
-  // (dcols_b = G_b^T . W); dw/db accumulate into the supplied buffers
-  // sample-by-sample in ascending order (dW_b = G_b . cols_b).
+  // Accumulate sample range [lo, hi): dcols blocks are owned by the range
+  // (dcols_b = W^T . G_b, patch-major like cols_); dw/db accumulate into the
+  // supplied buffers sample-by-sample in ascending order
+  // (dW_b = G_b . cols_b^T).
   const auto accumulate = [&](std::size_t lo, std::size_t hi, float* dw,
                               float* db) {
     for (std::size_t bi = lo; bi < hi; ++bi) {
       const float* gb = grad_out.data() + bi * out_c_ * hw;
-      const float* colb = cols_.data() + bi * hw * patch;
-      tensor::gemm(Trans::kYes, Trans::kNo, hw, patch, out_c_, gb, hw, w,
-                   patch, dcols_.data() + bi * hw * patch, patch,
+      const float* colb = cols_.data() + bi * patch * hw;
+      tensor::gemm(Trans::kYes, Trans::kNo, patch, hw, out_c_, w, patch, gb,
+                   hw, dcols_.data() + bi * patch * hw, hw,
                    /*accumulate=*/false, /*allow_parallel=*/!shard_batch);
-      tensor::gemm(Trans::kNo, Trans::kNo, out_c_, patch, hw, gb, hw, colb,
-                   patch, dw, patch, /*accumulate=*/true,
+      tensor::gemm(Trans::kNo, Trans::kYes, out_c_, patch, hw, gb, hw, colb,
+                   hw, dw, patch, /*accumulate=*/true,
                    /*allow_parallel=*/!shard_batch);
       for (std::size_t oc = 0; oc < out_c_; ++oc) {
         const float* g = gb + oc * hw;
@@ -296,34 +298,40 @@ Tensor DepthwiseConv2d::forward(const Tensor& x, bool /*train*/) {
   assert(x.rank() == 4 && x.dim(1) == channels_);
   input_ = x;
   const std::size_t n = x.dim(0);
-  const std::size_t h = x.dim(2);
-  const std::size_t w = x.dim(3);
-  const std::size_t oh = (h + 2 * pad_ - kernel_) / stride_ + 1;
-  const std::size_t ow = (w + 2 * pad_ - kernel_) / stride_ + 1;
-  Tensor y({n, channels_, oh, ow});
-  // Each sample writes a disjoint output slice — bit-identical when sharded.
-  shard_loop(n, n * channels_ * oh * ow * kernel_ * kernel_,
-             [&](std::size_t b) {
+  const tensor::ConvGeometry g{channels_, x.dim(2), x.dim(3),
+                               kernel_, stride_, pad_};
+  const std::size_t ow = g.out_w();
+  const std::size_t hw = g.out_h() * ow;
+  const std::size_t plane = g.in_h * g.in_w;
+  Tensor y({n, channels_, g.out_h(), ow});
+  // Row-wise: each output plane starts at the bias, then every kernel tap
+  // (ky, kx) in ascending order adds w * x across the output rectangle it
+  // reaches inside the image — per output, the additions and their order
+  // of a per-pixel loop that skips padding taps.  Each sample writes a
+  // disjoint output slice — bit-identical when sharded.
+  shard_loop(n, n * channels_ * hw * kernel_ * kernel_, [&](std::size_t b) {
     for (std::size_t c = 0; c < channels_; ++c) {
       const float* wc = weight_.value.data() + c * kernel_ * kernel_;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float acc = bias_.value[c];
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            const long iy = static_cast<long>(oy * stride_ + ky) -
-                            static_cast<long>(pad_);
-            if (iy < 0 || iy >= static_cast<long>(h)) continue;
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              const long ix = static_cast<long>(ox * stride_ + kx) -
-                              static_cast<long>(pad_);
-              if (ix < 0 || ix >= static_cast<long>(w)) continue;
-              // ordered: fixed ky/kx kernel walk per output pixel.
-              acc += wc[ky * kernel_ + kx] *
-                     x.at4(b, c, static_cast<std::size_t>(iy),
-                           static_cast<std::size_t>(ix));
+      const float* xc = x.data() + (b * channels_ + c) * plane;
+      float* yc = y.data() + (b * channels_ + c) * hw;
+      std::fill_n(yc, hw, bias_.value[c]);
+      for (std::size_t ky = 0; ky < kernel_; ++ky) {
+        const tensor::OutputSpan ys = g.rows_for_tap(ky);
+        for (std::size_t kx = 0; kx < kernel_; ++kx) {
+          const tensor::OutputSpan xs = g.cols_for_tap(kx);
+          if (xs.lo == xs.hi) continue;
+          const float wk = wc[ky * kernel_ + kx];
+          // `at` indexes the first in-image pixel output row oy reads.
+          std::size_t at = (ys.lo * stride_ + ky - pad_) * g.in_w +
+                           xs.lo * stride_ + kx - pad_;
+          for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+            float* yr = yc + oy * ow;
+            for (std::size_t ox = xs.lo; ox < xs.hi; ++ox) {
+              // ordered: ascending (ky, kx) taps per output pixel.
+              yr[ox] += wk * xc[at + (ox - xs.lo) * stride_];
             }
+            at += stride_ * g.in_w;
           }
-          y.at4(b, c, oy, ox) = acc;
         }
       }
     }

@@ -10,8 +10,10 @@
 //     the micro-kernel streams contiguous, zero-padded memory.
 //   - The micro-kernel keeps an MR x NR accumulator array (6 x 16 floats /
 //     6 x 8 doubles) in registers; the NR lanes are independent, so the
-//     compiler is free to vectorize them into SIMD FMA lanes without any
-//     reassociation license.
+//     compiler is free to vectorize them into SIMD lanes without any
+//     reassociation license.  Products and sums stay separate roundings:
+//     the build passes -ffp-contract=off, so no ISA fuses them into FMAs
+//     and the kernel rounds exactly like gemm_reference.
 //   - Parallelism is over the macro-tile grid via util::parallel_for.  The
 //     grid depends only on the problem shape and compile-time constants —
 //     never on the thread count (skinny-N problems get a finer row grain so

@@ -1,13 +1,16 @@
 // Training framework tests: tensor ops, im2col, gradient checks via finite
 // differences, loss, optimizers, architecture factory, training convergence.
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <cmath>
+#include <vector>
 #include "nn/arch.hpp"
 #include "nn/blocks.hpp"
 #include "nn/attention.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 namespace bprom::nn {
 namespace {
@@ -36,9 +39,47 @@ TEST(Im2Col, IdentityKernelGeometry) {
   Tensor cols = tensor::im2col(x, g);
   EXPECT_EQ(cols.dim(0), 9u);
   EXPECT_EQ(cols.dim(1), 9u);
-  // Center output position sees the whole image.
+  // Column 4, the center output position, sees the whole image.
   for (std::size_t i = 0; i < 9; ++i) {
-    EXPECT_FLOAT_EQ(cols.at2(4, i), static_cast<float>(i));
+    EXPECT_FLOAT_EQ(cols.at2(i, 4), static_cast<float>(i));
+  }
+}
+
+TEST(Im2Col, PatchMajorLayout) {
+  // Row b * C*k*k + (c*k + ky)*k + kx, column oy * OW + ox holds the input
+  // pixel that tap (c, ky, kx) of output (oy, ox) reads, or 0 in padding.
+  util::Rng rng(5);
+  const tensor::ConvGeometry g{2, 5, 4, 3, 2, 1};
+  Tensor x = Tensor::randn({2, 2, 5, 4}, rng);
+  Tensor cols = tensor::im2col(x, g);
+  const std::size_t k = g.kernel;
+  const std::size_t oh = g.out_h();
+  const std::size_t ow = g.out_w();
+  ASSERT_EQ(cols.dim(0), 2 * g.patch_size());
+  ASSERT_EQ(cols.dim(1), oh * ow);
+  for (std::size_t b = 0; b < 2; ++b) {
+    for (std::size_t c = 0; c < g.in_c; ++c) {
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        for (std::size_t kx = 0; kx < k; ++kx) {
+          for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+              const long iy = static_cast<long>(oy * g.stride + ky) - 1;
+              const long ix = static_cast<long>(ox * g.stride + kx) - 1;
+              const bool inside = iy >= 0 && iy < 5 && ix >= 0 && ix < 4;
+              const float want =
+                  inside ? x.at4(b, c, static_cast<std::size_t>(iy),
+                                 static_cast<std::size_t>(ix))
+                         : 0.0F;
+              EXPECT_EQ(cols.at2(b * g.patch_size() + (c * k + ky) * k + kx,
+                                 oy * ow + ox),
+                        want)
+                  << "b" << b << " c" << c << " tap " << ky << kx << " out "
+                  << oy << "," << ox;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -47,7 +88,7 @@ TEST(Im2Col, Col2ImAdjoint) {
   util::Rng rng(3);
   tensor::ConvGeometry g{2, 4, 4, 3, 2, 1};
   Tensor x = Tensor::randn({1, 2, 4, 4}, rng);
-  Tensor y = Tensor::randn({g.out_h() * g.out_w(), g.patch_size()}, rng);
+  Tensor y = Tensor::randn({g.patch_size(), g.out_h() * g.out_w()}, rng);
   Tensor cols = tensor::im2col(x, g);
   double lhs = 0;
   for (std::size_t i = 0; i < cols.size(); ++i) lhs += cols[i] * y[i];
@@ -55,6 +96,126 @@ TEST(Im2Col, Col2ImAdjoint) {
   double rhs = 0;
   for (std::size_t i = 0; i < x.size(); ++i) rhs += x[i] * xt[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+struct ConvCase {
+  std::size_t in_c, out_c, kernel, stride, pad, h, w;
+};
+
+// Cases span kernel 1, 2 (SwinMini's patchify) and 3, stride 1 and 2, pad 0
+// to 2, non-square inputs, taps that reach no in-image pixel (1-pixel-high
+// input, stride 2, pad 2) and a 32-channel 3x3 patch (288 > kGemmKc, so two
+// K panels fold).
+const ConvCase kConvCases[] = {
+    {3, 4, 3, 1, 1, 5, 7}, {3, 5, 3, 2, 1, 7, 6}, {2, 3, 3, 2, 0, 6, 5},
+    {2, 3, 3, 1, 0, 4, 6}, {4, 6, 1, 1, 0, 5, 3}, {4, 6, 1, 2, 0, 5, 4},
+    {3, 4, 2, 2, 0, 6, 8}, {2, 3, 3, 2, 2, 1, 4}, {2, 2, 3, 1, 1, 2, 5},
+    {32, 4, 3, 1, 1, 4, 5},
+};
+
+void randomize(Parameter& p, util::Rng& rng) {
+  p.value = Tensor::randn(p.value.shape(), rng);
+}
+
+/// Conv2d as a direct loop with the GEMM's summation grouping: per output,
+/// w * x in (c, ky, kx) order with padding taps as w * 0, each kGemmKc
+/// panel summed from 0 and folded onto the bias in ascending order.
+std::vector<float> conv2d_reference(const Tensor& x, const Tensor& weight,
+                                    const Tensor& bias,
+                                    const tensor::ConvGeometry& g,
+                                    std::size_t out_c) {
+  const std::size_t n = x.dim(0);
+  const std::size_t k = g.kernel;
+  const std::size_t patch = g.patch_size();
+  std::vector<float> y;
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+      for (std::size_t oy = 0; oy < g.out_h(); ++oy) {
+        for (std::size_t ox = 0; ox < g.out_w(); ++ox) {
+          float out = bias[oc];
+          for (std::size_t p0 = 0; p0 < patch; p0 += tensor::kGemmKc) {
+            float acc = 0.0F;
+            for (std::size_t p = p0; p < std::min(patch, p0 + tensor::kGemmKc);
+                 ++p) {
+              const std::size_t c = p / (k * k);
+              const long iy = static_cast<long>(oy * g.stride + p / k % k) -
+                              static_cast<long>(g.pad);
+              const long ix = static_cast<long>(ox * g.stride + p % k) -
+                              static_cast<long>(g.pad);
+              const bool inside = iy >= 0 && iy < static_cast<long>(g.in_h) &&
+                                  ix >= 0 && ix < static_cast<long>(g.in_w);
+              const float v =
+                  inside ? x.at4(b, c, static_cast<std::size_t>(iy),
+                                 static_cast<std::size_t>(ix))
+                         : 0.0F;
+              acc += weight.at2(oc, p) * v;
+            }
+            out += acc;
+          }
+          y.push_back(out);
+        }
+      }
+    }
+  }
+  return y;
+}
+
+/// DepthwiseConv2d forward as a per-pixel loop: bias, then every in-image
+/// tap in ascending (ky, kx) order.
+std::vector<float> depthwise_reference(const Tensor& x, const Tensor& weight,
+                                       const Tensor& bias,
+                                       const tensor::ConvGeometry& g) {
+  const std::size_t k = g.kernel;
+  std::vector<float> y;
+  for (std::size_t b = 0; b < x.dim(0); ++b) {
+    for (std::size_t c = 0; c < g.in_c; ++c) {
+      for (std::size_t oy = 0; oy < g.out_h(); ++oy) {
+        for (std::size_t ox = 0; ox < g.out_w(); ++ox) {
+          float acc = bias[c];
+          for (std::size_t ky = 0; ky < k; ++ky) {
+            const long iy = static_cast<long>(oy * g.stride + ky) -
+                            static_cast<long>(g.pad);
+            if (iy < 0 || iy >= static_cast<long>(g.in_h)) continue;
+            for (std::size_t kx = 0; kx < k; ++kx) {
+              const long ix = static_cast<long>(ox * g.stride + kx) -
+                              static_cast<long>(g.pad);
+              if (ix < 0 || ix >= static_cast<long>(g.in_w)) continue;
+              acc += weight.at2(c, ky * k + kx) *
+                     x.at4(b, c, static_cast<std::size_t>(iy),
+                           static_cast<std::size_t>(ix));
+            }
+          }
+          y.push_back(acc);
+        }
+      }
+    }
+  }
+  return y;
+}
+
+TEST(ConvForward, MatchesDirectLoopBitwise) {
+  util::Rng rng(21);
+  for (const ConvCase& cc : kConvCases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "in_c " << cc.in_c << " k " << cc.kernel << " s "
+                 << cc.stride << " pad " << cc.pad << " " << cc.h << "x"
+                 << cc.w);
+    const tensor::ConvGeometry g{cc.in_c, cc.h, cc.w, cc.kernel, cc.stride,
+                                 cc.pad};
+    Tensor x = Tensor::randn({2, cc.in_c, cc.h, cc.w}, rng);
+
+    Conv2d conv(cc.in_c, cc.out_c, cc.kernel, cc.stride, cc.pad, rng);
+    std::vector<Parameter*> cp = conv.parameters();
+    randomize(*cp[1], rng);
+    EXPECT_EQ(conv.forward(x, false).vec(),
+              conv2d_reference(x, cp[0]->value, cp[1]->value, g, cc.out_c));
+
+    DepthwiseConv2d dw(cc.in_c, cc.kernel, cc.stride, cc.pad, rng);
+    std::vector<Parameter*> dp = dw.parameters();
+    randomize(*dp[1], rng);
+    EXPECT_EQ(dw.forward(x, false).vec(),
+              depthwise_reference(x, dp[0]->value, dp[1]->value, g));
+  }
 }
 
 // Finite-difference gradient check through a whole model.
