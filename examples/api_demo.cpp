@@ -6,14 +6,14 @@
 //      (resolves to @v2) — an async batched audit with futures,
 //   4. audit the same batch against the pinned "market@v1": superseded
 //      versions keep serving exactly as before the rollover,
-//   5. diff both batches against the pre-refactor path (the internal
-//      serve::AuditService driving the very same detector handles):
-//      verdicts AND query counts must be byte-identical,
+//   5. simulate a fresh process: a second engine over the same store
+//      directory cold-loads both versions from disk and re-audits both
+//      batches (sync and async swapped) — every verdict, query count and
+//      resolved version must match the first engine's bit for bit,
 //   6. exit nonzero on any non-OK Status or any mismatch — the CI gate.
 //
 // Run under BPROM_THREADS=1 and 8: output (timing stripped) is identical.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -21,7 +21,6 @@
 #include "api/engine.hpp"
 #include "core/experiment.hpp"
 #include "data/ops.hpp"
-#include "serve/audit_service.hpp"
 
 namespace {
 
@@ -61,7 +60,8 @@ int main() {
   auto tgt = data::make_dataset(data::DatasetKind::kStl10, 2);
   const auto arch = nn::ArchKind::kResNet18Mini;
 
-  std::printf("== api_demo: fit -> publish -> rollover -> async audit ==\n");
+  std::printf("== api_demo: fit -> publish -> rollover -> async audit -> "
+              "reload ==\n");
 
   // A small marketplace: clean and backdoored vendor uploads.
   std::vector<core::TrainedSuspicious> marketplace;
@@ -110,7 +110,8 @@ int main() {
   }
 
   // --- 3+4: async audit on the bare name, sync audit pinned to @v1. -----
-  const auto audit_via = [&](const std::string& detector_ref, bool async) {
+  const auto audit_via = [&](api::AuditEngine& auditor,
+                             const std::string& detector_ref, bool async) {
     std::vector<nn::BlackBoxAdapter> boxes;
     boxes.reserve(marketplace.size());
     for (auto& listing : marketplace) boxes.emplace_back(*listing.model);
@@ -120,45 +121,34 @@ int main() {
       batch[i].detector = detector_ref;
       batch[i].model = &boxes[i];
     }
-    return async ? engine.audit_async(std::move(batch)).get()
-                 : engine.audit(batch);
+    return async ? auditor.audit_async(std::move(batch)).get()
+                 : auditor.audit(batch);
   };
-  const auto via_v2 = audit_via("market", /*async=*/true);
-  const auto via_v1 = audit_via("market@v1", /*async=*/false);
+  const auto via_v2 = audit_via(engine, "market", /*async=*/true);
+  const auto via_v1 = audit_via(engine, "market@v1", /*async=*/false);
 
-  // --- 5: the pre-refactor path on the same detector handles. -----------
-  const auto legacy_via = [&](const std::string& detector_ref) {
-    auto handle = engine.detector(detector_ref);
-    if (!handle.ok()) {
-      std::printf("FAIL: %s: %s\n", detector_ref.c_str(),
-                  handle.status().to_string().c_str());
-      std::exit(1);
-    }
-    std::vector<nn::BlackBoxAdapter> boxes;
-    boxes.reserve(marketplace.size());
-    for (auto& listing : marketplace) boxes.emplace_back(*listing.model);
-    std::vector<serve::AuditRequest> batch(marketplace.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i].model_id = "listing-" + std::to_string(i);
-      batch[i].model = &boxes[i];
-    }
-    // Same seed (the engine default is the service's historical 97), same
-    // batch order, same handle: the pre-refactor surface, bit for bit.
-    return serve::AuditService(handle.value()).audit(batch);
-  };
-  const auto legacy_v2 = legacy_via("market@v2");
-  const auto legacy_v1 = legacy_via("market@v1");
+  // --- 5: a "fresh process" cold-loads both versions from disk. ---------
+  // Its store cache starts empty, so both resolves read the containers the
+  // first engine published; each batch takes the other audit path.
+  api::AuditEngine fresh({.store_dir = dir});
+  if (!fresh.status().ok()) {
+    std::printf("FAIL: fresh engine: %s\n", fresh.status().to_string().c_str());
+    return 1;
+  }
+  const auto reloaded_v2 = audit_via(fresh, "market", /*async=*/false);
+  const auto reloaded_v1 = audit_via(fresh, "market@v1", /*async=*/true);
 
   std::printf("\n%-10s %-10s %-10s %-8s %-7s %-6s %s\n", "id", "detector",
               "score", "verdict", "queries", "match", "time");
   bool all_ok = true;
   const auto check = [&](const std::vector<api::AuditResponse>& got,
-                         const std::vector<serve::AuditResponse>& want,
+                         const std::vector<api::AuditResponse>& reloaded,
                          const char* expect_version) {
     for (std::size_t i = 0; i < got.size(); ++i) {
-      const bool ok = got[i].status.ok() && want[i].ok &&
+      const bool ok = got[i].status.ok() && reloaded[i].status.ok() &&
                       got[i].detector_version == expect_version &&
-                      same_verdict(got[i].verdict, want[i].verdict);
+                      reloaded[i].detector_version == expect_version &&
+                      same_verdict(got[i].verdict, reloaded[i].verdict);
       all_ok = all_ok && ok;
       std::printf("%-10s %-10s %-10.6f %-8s %-7zu %-6s %.1fms\n",
                   got[i].model_id.c_str(), got[i].detector_version.c_str(),
@@ -168,8 +158,8 @@ int main() {
                   got[i].seconds * 1e3);
     }
   };
-  check(via_v2, legacy_v2, "market@v2");
-  check(via_v1, legacy_v1, "market@v1");
+  check(via_v2, reloaded_v2, "market@v2");
+  check(via_v1, reloaded_v1, "market@v1");
 
   const auto stats = engine.stats();
   std::printf("\nengine stats: %llu requests, %llu verdicts, %llu queries, "
@@ -180,10 +170,10 @@ int main() {
               (unsigned long long)stats.rollovers);
   std::printf("Ground truth: listings 0-1 clean; 2-3 backdoored.\n");
   if (!all_ok) {
-    std::printf("FAIL: façade responses differ from the pre-refactor path\n");
+    std::printf("FAIL: a response failed or the reloaded engine diverged\n");
     return 1;
   }
-  std::printf("OK: fit->publish->rollover->async audit matches the "
-              "pre-refactor path bit-for-bit\n");
+  std::printf("OK: fit->publish->rollover->async audit verdicts survive a "
+              "cold reload bit-for-bit\n");
   return 0;
 }

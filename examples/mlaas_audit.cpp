@@ -6,9 +6,9 @@
 // only to flagged models — the deployment order §1 argues for.
 //
 // This example refits the detector in-process every run.  For the
-// long-lived deployment — fit once, persist, and serve batched audits
-// across process restarts — see examples/serve_audit.cpp, which drives the
-// same marketplace through serve::DetectorStore + serve::AuditService.
+// long-lived deployment — fit once, publish versioned detectors, and serve
+// batched audits across process restarts — see examples/api_demo.cpp
+// (api::AuditEngine) and examples/net_demo.cpp (the same engine over TCP).
 #include <cstdio>
 #include "core/experiment.hpp"
 #include "defenses/evaluate.hpp"

@@ -10,8 +10,8 @@
 //
 // Everything fallible returns `Status`/`Result<T>` (api/status.hpp); no
 // exception and no abort crosses this boundary.  The lower-level
-// `serve::AuditService` / `serve::DetectorStore` / `io::*_file` entry
-// points are internal — new consumers should not reach below this header.
+// `serve::DetectorStore` / `io::*_file` entry points are internal — new
+// consumers should not reach below this header.
 #pragma once
 
 #include <atomic>
@@ -43,10 +43,11 @@ Status status_from(const io::IoError& error);
 struct EngineConfig {
   /// Backing directory of the versioned detector store (created if absent).
   std::string store_dir;
-  /// Root seed the per-request inspection salts are split from.  The salt a
-  /// request sees is a function of (seed, batch index) only, so batches are
-  /// bit-identical for any thread count — and identical to the internal
-  /// serve::AuditService with the same seed (its historical default, 97).
+  /// Root seed the per-request inspection salts are split from: request i
+  /// of a batch inspects with salt `root.split(i + 1).next_u64()`, split in
+  /// batch order off one `util::Rng root(seed)`.  The salt is a function of
+  /// (seed, batch index) only, so batches are bit-identical for any thread
+  /// count and through audit() or audit_async().
   std::uint64_t seed = 97;
   /// Pool audits and fits fan out on; nullptr = process-wide default pool
   /// (BPROM_THREADS).  Borrowed — must outlive the engine.
@@ -94,7 +95,7 @@ class AuditEngine {
 
   /// Drains the async ring and joins the serving workers: every batch
   /// accepted by audit_async() — running or still queued — completes and
-  /// its future is fulfilled before the engine's memory goes away.
+  /// its completion fires before the engine's memory goes away.
   ~AuditEngine();
 
   AuditEngine(const AuditEngine&) = delete;
@@ -148,18 +149,20 @@ class AuditEngine {
   /// many threads at once; the batch audits whatever versions it resolves
   /// when a worker picks it up.  A full ring blocks the caller
   /// (backpressure) until a slot frees.  Deadlines anchor at submission,
-  /// so ring wait counts against them.
+  /// so ring wait counts against them.  A wrapper over the callback
+  /// overload: get() never throws, and a batch that dies exceptionally
+  /// resolves with per-request kInternal statuses.
   [[nodiscard]] std::future<std::vector<AuditResponse>> audit_async(
       std::vector<AuditRequest> batch);
 
-  /// Completion delivered by callback instead of future.  Same queueing,
-  /// backpressure, and deadline semantics as the future overload; `on_done`
-  /// runs on a serving worker (or inline on the caller when the ring is
-  /// already closed) exactly once, and MUST NOT throw — event-driven
-  /// callers (the net front end) use it to release admission slots and
-  /// drain barriers, so a lost invocation would wedge them.  If the batch
-  /// itself dies exceptionally, the callback still fires with per-request
-  /// kInternal statuses.
+  /// Completion delivered by callback instead of future, with the same
+  /// queueing, backpressure, and deadline semantics.  `on_done` runs on a
+  /// serving worker (or inline on the caller when the ring is already
+  /// closed) exactly once, and MUST NOT throw — event-driven callers (the
+  /// net front end) use it to release admission slots and drain barriers,
+  /// so a lost invocation would wedge them.  If the batch itself dies
+  /// exceptionally, the callback still fires with per-request kInternal
+  /// statuses.
   using AuditCallback = std::function<void(std::vector<AuditResponse>)>;
   void audit_async(std::vector<AuditRequest> batch, AuditCallback on_done);
 
@@ -211,18 +214,19 @@ class AuditEngine {
   /// a snapshot flips the profiler's epoch buffers.
   mutable util::Profiler profiler_;
 
-  /// One queued async batch: the requests, its completion (a promise for
-  /// the future overload, a callback for the callback overload — exactly
-  /// one is live), and the submission clock deadlines anchor to.
+  /// One queued async batch: the requests, the callback that completes it,
+  /// and the submission clock deadlines anchor to.
   struct AsyncJob {
     std::vector<AuditRequest> batch;
-    std::promise<std::vector<AuditResponse>> done;
     AuditCallback callback;
     util::Stopwatch submitted;
   };
 
   /// Worker loop: pop batches off the ring until it is closed and drained.
   void serve_loop();
+  /// Audit one async batch and fire its callback exactly once — with
+  /// per-request kInternal statuses if the batch throws.
+  void run_job(AsyncJob& job);
 
   /// Bounded lock-free hand-off from audit_async() to the serving workers
   /// (replaces the PR 4 mutex+condvar pending counter).

@@ -8,7 +8,6 @@
 
 #include "data/ops.hpp"
 #include "util/log.hpp"
-#include "util/scratch.hpp"
 
 namespace bprom::core {
 
@@ -18,10 +17,7 @@ BpromDetector::BpromDetector(BpromConfig config)
 BpromDetector::Observation BpromDetector::observe_member(
     const nn::BlackBoxModel& box, const vp::VisualPrompt& prompt) const {
   vp::PromptedModel prompted(box, prompt);
-  // Every query of the member happens here, before any scratch buffer
-  // below is claimed (scratch pointers must never straddle a pool fan-out).
-  // The mapping claims kMetaConfusion as double and returns before block 2
-  // claims it as size_t.
+  // Every query of the member happens in these three passes.
   const nn::Tensor train_probs = prompted.predict_proba(target_train_.images);
   prompted.set_label_mapping(vp::fit_frequency_label_mapping(
       train_probs, target_train_.labels, target_classes_));
@@ -38,36 +34,29 @@ BpromDetector::Observation BpromDetector::observe_member(
   // Block 1 — the paper's Algorithm 1 features: the q query confidence
   // vectors, plus the per-query probability mass on the class the learned
   // output mapping expects (the per-query form of prompted accuracy).
-  float* row_buf =
-      util::Scratch::tls().buffer<float>(util::Scratch::kMetaRow, k);
+  std::vector<float> row_buf(k);
   for (std::size_t i = 0; i < q; ++i) {
-    std::copy(probs.data() + i * k, probs.data() + (i + 1) * k, row_buf);
+    std::copy(probs.data() + i * k, probs.data() + (i + 1) * k,
+              row_buf.begin());
     const auto label = static_cast<std::size_t>(query_set_.labels[i]);
     features.push_back(row_buf[static_cast<std::size_t>(mapping[label])]);
     if (!config_.include_query_features) continue;
     if (config_.sort_confidence_features) {
-      std::sort(row_buf, row_buf + k, std::greater<float>());
+      std::sort(row_buf.begin(), row_buf.end(), std::greater<float>());
     }
-    features.insert(features.end(), row_buf, row_buf + k);
+    features.insert(features.end(), row_buf.begin(), row_buf.end());
   }
 
   // Block 2 — distribution-level class-subspace-inconsistency summaries
   // over the full D_T sets (low-variance forms of the paper's signal; see
-  // DESIGN.md §2).  All derive from black-box confidence vectors.
-  // Histogram and per-class counts share one slot; the confusion matrix is
-  // flattened target-major.
-  std::size_t* pred_hist = util::Scratch::tls().buffer<std::size_t>(
-      util::Scratch::kMetaHist, k + target_classes_);
-  std::size_t* class_n = pred_hist + k;
-  std::fill(pred_hist, pred_hist + k + target_classes_, std::size_t{0});
-  std::size_t* confusion = util::Scratch::tls().buffer<std::size_t>(
-      util::Scratch::kMetaConfusion, target_classes_ * k);
-  std::fill(confusion, confusion + target_classes_ * k, std::size_t{0});
+  // DESIGN.md §2).  All derive from black-box confidence vectors.  The
+  // confusion matrix is flattened target-major.
+  std::vector<std::size_t> pred_hist(k, 0);
+  std::vector<std::size_t> class_n(target_classes_, 0);
+  std::vector<std::size_t> confusion(target_classes_ * k, 0);
   // Per-class mapped accuracy profile on D_T^train, sorted ascending below:
   // a poisoned source model caps several classes near zero.
-  float* class_acc = util::Scratch::tls().buffer<float>(
-      util::Scratch::kMetaClassAcc, target_classes_);
-  std::fill(class_acc, class_acc + target_classes_, 0.0F);
+  std::vector<float> class_acc(target_classes_, 0.0F);
   double mean_max = 0.0;
   double mean_entropy = 0.0;
   const std::size_t n_train = target_train_.size();
@@ -93,13 +82,14 @@ BpromDetector::Observation BpromDetector::observe_member(
   // Dominance: mass of the most-predicted source class ("target class
   // adjacent to all others" concentrates predictions).
   const double dominance =
-      static_cast<double>(*std::max_element(pred_hist, pred_hist + k)) /
+      static_cast<double>(
+          *std::max_element(pred_hist.begin(), pred_hist.end())) /
       static_cast<double>(n_train);
   // Collisions: how many target classes share their most-frequent source
   // prediction with another target class (subspace merging).
   std::vector<std::size_t> distinct(target_classes_);
   for (std::size_t t = 0; t < target_classes_; ++t) {
-    const std::size_t* crow = confusion + t * k;
+    const std::size_t* crow = confusion.data() + t * k;
     distinct[t] =
         static_cast<std::size_t>(std::max_element(crow, crow + k) - crow);
   }
@@ -112,13 +102,13 @@ BpromDetector::Observation BpromDetector::observe_member(
   for (std::size_t t = 0; t < target_classes_; ++t) {
     if (class_n[t] > 0) class_acc[t] /= static_cast<float>(class_n[t]);
   }
-  std::sort(class_acc, class_acc + target_classes_);
+  std::sort(class_acc.begin(), class_acc.end());
 
   features.push_back(static_cast<float>(dominance));
   features.push_back(static_cast<float>(collisions));
   features.push_back(static_cast<float>(mean_max / n_train));
   features.push_back(static_cast<float>(mean_entropy / n_train));
-  features.insert(features.end(), class_acc, class_acc + target_classes_);
+  features.insert(features.end(), class_acc.begin(), class_acc.end());
   return out;
 }
 

@@ -12,7 +12,8 @@
 //   - request / byte budgets meter a connection's lifetime usage, the
 //     per-tenant analogue of a request's query budget;
 //   - every rejection is tallied so the stats endpoint can report overload
-//     behavior (the BENCH_net.json acceptance signal).
+//     behavior (NetServer.OverloadRejectsTypedWhileAcceptedRequestsComplete
+//     pins it; benchmark/'s tcp_overload workload measures it).
 //
 // Admission decisions run on the IO threads and completions release slots
 // from the engine's serve workers, so everything here is atomic; counters

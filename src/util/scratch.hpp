@@ -34,17 +34,6 @@ class Scratch {
     /// Squashed border fill / additive perturbation field of one
     /// VisualPrompt::apply call (vp/prompt.cpp).
     kPromptField,
-    /// One query's confidence row during meta-feature extraction
-    /// (core/bprom.cpp).
-    kMetaRow,
-    /// Prediction histogram + per-class sample counts, claimed as one
-    /// buffer (core/bprom.cpp).
-    kMetaHist,
-    /// Flattened target-by-source confusion counts (core/bprom.cpp and
-    /// vp/prompted_model.cpp label-mapping fit).
-    kMetaConfusion,
-    /// Sorted per-class mapped-accuracy profile (core/bprom.cpp).
-    kMetaClassAcc,
     kSlotCount,
   };
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "util/scratch.hpp"
+#include <vector>
 
 namespace bprom::vp {
 
@@ -64,12 +63,8 @@ std::vector<int> fit_frequency_label_mapping(const Tensor& probs,
   const std::size_t ks = probs.dim(1);
   assert(target_classes <= ks);
   assert(probs.dim(0) == labels.size());
-  // Confusion counts C[t][s], flattened target-major in the thread's
-  // scratch arena.  Nothing below re-enters the pool, so the buffer is
-  // safe until this function returns.
-  double* counts = util::Scratch::tls().buffer<double>(
-      util::Scratch::kMetaConfusion, target_classes * ks);
-  std::fill(counts, counts + target_classes * ks, 0.0);
+  // Confusion counts C[t][s], flattened target-major.
+  std::vector<double> counts(target_classes * ks, 0.0);
   for (std::size_t i = 0; i < labels.size(); ++i) {
     const float* row = probs.data() + i * ks;
     std::size_t arg = 0;

@@ -18,6 +18,7 @@
 #include "data/ops.hpp"
 #include "io/binary.hpp"
 #include "nn/arch.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bprom {
@@ -541,6 +542,39 @@ TEST(ApiEngine, AsyncVerdictsMatchSyncThroughTheRing) {
   EXPECT_GE(stats.profile[util::ProfileStage::kBatch].count, 1U);
   EXPECT_GE(stats.profile[util::ProfileStage::kRequest].count, 4U);
   EXPECT_GT(stats.profile[util::ProfileStage::kRequest].max, 0U);
+}
+
+TEST(ApiEngine, BatchSaltsFollowTheEngineSeed) {
+  // The derivation EngineConfig::seed documents: request i of a batch
+  // inspects with salt root.split(i + 1).next_u64(), split in batch order
+  // off one Rng root(seed), so a verdict is a function of (engine seed,
+  // batch index) only.  Pinned against direct inspect() calls for the
+  // default seed and a non-default one.
+  const std::uint64_t default_seed = api::EngineConfig{}.seed;
+  for (const std::uint64_t seed : {default_seed, std::uint64_t{5}}) {
+    api::AuditEngine engine(
+        {.store_dir = fresh_dir("bprom_api_salts_" + std::to_string(seed)),
+         .seed = seed});
+    ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
+    nn::BlackBoxAdapter box0(*fixture().suspicious.model);
+    nn::BlackBoxAdapter box1(*fixture().suspicious.model);
+    const auto responses = engine.audit(
+        {request_for("aud", &box0, "a"), request_for("aud", &box1, "b")});
+    ASSERT_EQ(responses.size(), 2U);
+    util::Rng root(seed);
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", request " << i);
+      const std::uint64_t salt = root.split(i + 1).next_u64();
+      ASSERT_TRUE(responses[i].status.ok()) << responses[i].status.to_string();
+      nn::BlackBoxAdapter direct(*fixture().suspicious.model);
+      const core::Verdict want = fixture().detector.inspect(direct, salt);
+      const core::Verdict& got = responses[i].verdict;
+      EXPECT_EQ(got.score, want.score);
+      EXPECT_EQ(got.prompted_accuracy, want.prompted_accuracy);
+      EXPECT_EQ(got.queries, want.queries);
+      EXPECT_EQ(got.backdoored, want.backdoored);
+    }
+  }
 }
 
 TEST(ApiEngine, DestructorDrainsQueuedAsyncBatches) {

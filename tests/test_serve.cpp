@@ -19,7 +19,6 @@
 #include "core/experiment.hpp"
 #include "io/binary.hpp"
 #include "nn/arch.hpp"
-#include "serve/audit_service.hpp"
 #include "serve/detector_store.hpp"
 #include "util/thread_pool.hpp"
 
@@ -240,10 +239,10 @@ TEST(DetectorStore, ConcurrentFirstGetConvergesOnOneHandle) {
   std::filesystem::remove_all(dir);
 }
 
-// Migrated onto the bprom::api façade (the old serve::AuditService is the
-// internal layer underneath it): batched verdicts must be bit-identical
-// under 1- and 4-thread engine pools, the async path must match the sync
-// one, and a malformed request must fail typed without sinking the batch.
+// Through the bprom::api façade, the one batch-audit path: batched
+// verdicts must be bit-identical under 1- and 4-thread engine pools, the
+// async path must match the sync one, and a malformed request must fail
+// typed without sinking the batch.
 TEST(AuditEngine, BatchVerdictsAreThreadCountInvariant) {
   auto src = data::make_dataset(data::DatasetKind::kCifar10, 37, 400, 160);
   auto tgt = data::make_dataset(data::DatasetKind::kStl10, 38, 300, 160);
