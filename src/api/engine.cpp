@@ -424,9 +424,10 @@ std::vector<AuditResponse> AuditEngine::audit_from(
           "ms elapsed before the inspection could start");
     } else {
       // The deadline rides into inspect() itself: the detector checks it
-      // between prompt-ensemble members, so a mid-flight overrun stops at
-      // the next member boundary instead of running the ensemble to
-      // completion.  The clock is the batch clock — queue wait included.
+      // before each prompt-ensemble member's prompt learning and before its
+      // observation pass, so a mid-flight overrun stops at the next check
+      // instead of running the ensemble to completion.  The clock is the
+      // batch clock — queue wait included.
       const core::InspectDeadline deadline{batch_clock, request.deadline_ms};
       const core::InspectDeadline* enforce =
           request.deadline_ms > 0 ? &deadline : nullptr;

@@ -51,9 +51,10 @@ struct AuditRequest {
   /// (for audit_async, ring wait counts); 0 disables.  A request whose turn
   /// comes after the deadline fails with kDeadlineExceeded before querying
   /// the model; a request that overruns mid-inspection is cut off at the
-  /// next prompt-ensemble-member boundary (one member's optimizer run is
-  /// all-or-nothing) and fails with kDeadlineExceeded reporting the exact
-  /// queries already spent in verdict.queries — those queries ARE consumed.
+  /// next check inside it — before a prompt-ensemble member's optimizer run
+  /// or before its observation pass (one optimizer run is all-or-nothing)
+  /// — and fails with kDeadlineExceeded reporting the exact queries already
+  /// spent in verdict.queries — those queries ARE consumed.
   /// Deadlines are wall-clock and therefore the one knob that can make a
   /// batch thread-count-dependent; leave at 0 when reproducibility matters.
   std::uint64_t deadline_ms = 0;

@@ -282,63 +282,44 @@ Verdict BpromDetector::inspect(const nn::BlackBoxModel& suspicious,
 
   // Black-box prompt learning — the only access to the suspicious model is
   // confidence-vector queries.  An ensemble of independently seeded prompts
-  // suppresses prompt-optimization noise.  Each ensemble member depends
-  // only on its index, so members run on per-thread model replicas when
-  // the black box supports replicate(); the replicas are exact deep
-  // copies, making the parallel result bit-identical to the serial one for
-  // any thread count.
+  // suppresses prompt-optimization noise.  Each member depends only on its
+  // index, and the members query `suspicious` concurrently, so the result
+  // is bit-identical for any thread count.
   struct Member {
     Observation observation;
-    /// Everything the member spent: prompt learning (its own replicas
-    /// included) plus the observation pass on its box.
+    /// Everything the member spent: prompt learning plus the observation
+    /// pass.  Counted by the member itself — the box's own counter is
+    /// advanced by every member at once.
     std::size_t queries = 0;
     bool exhausted = false;
     bool ran = false;
   };
   const std::size_t ensemble = std::max<std::size_t>(1, config_.prompt_ensemble);
   std::vector<Member> members(ensemble);
-
-  const auto run_member = [&](std::size_t r, const nn::BlackBoxModel& box) {
-    // The deadline boundary: a member either starts in time and runs to
-    // completion (an optimization cannot be split mid-stream) or is skipped
-    // outright.  On a serial run this is literally "between ensemble
-    // members"; on a replica run it gates each member as its turn comes up
-    // on the pool.
-    if (deadline != nullptr && deadline->expired()) return;
-    vp::BlackBoxPromptConfig pc = config_.prompt_blackbox;
-    pc.seed = config_.prompt_blackbox.seed + seed_salt + 7919 * (r + 1);
-    const auto bb = vp::learn_prompt_blackbox(box, target_train_, pc);
-    const std::size_t before = box.query_count();
-    Member& member = members[r];
-    member.observation = observe_member(box, bb.prompt);
-    member.queries = bb.queries + (box.query_count() - before);
-    member.exhausted = bb.budget_exhausted;
-    member.ran = true;
+  const auto expired = [&] {
+    return deadline != nullptr && deadline->expired();
   };
 
-  std::vector<std::unique_ptr<nn::BlackBoxModel>> replicas;
-  if (ensemble > 1) {
-    replicas.reserve(ensemble);
-    for (std::size_t r = 0; r < ensemble; ++r) {
-      auto replica = suspicious.replicate();
-      if (!replica) {
-        replicas.clear();
-        break;
-      }
-      replicas.push_back(std::move(replica));
-    }
-  }
-
-  if (!replicas.empty()) {
-    util::parallel_for(ensemble,
-                       [&](std::size_t r) { run_member(r, *replicas[r]); },
-                       config_.pool);
-  } else {
-    // One model instance is single-threaded (forward passes cache
-    // activations), so a non-replicable black box runs the ensemble
-    // serially — same per-member work, same results.
-    for (std::size_t r = 0; r < ensemble; ++r) run_member(r, suspicious);
-  }
+  // The deadline is checked before a member's prompt learning and again
+  // before its observation pass: an optimization is never split
+  // mid-stream, and since members start together there is no later member
+  // boundary at which to stop.  A member cut at the second check still
+  // reports its prompt-learning spend.
+  util::parallel_for(ensemble, [&](std::size_t r) {
+    if (expired()) return;
+    Member& member = members[r];
+    vp::BlackBoxPromptConfig pc = config_.prompt_blackbox;
+    pc.seed = config_.prompt_blackbox.seed + seed_salt + 7919 * (r + 1);
+    const auto bb = vp::learn_prompt_blackbox(suspicious, target_train_, pc);
+    member.queries = bb.queries;
+    if (expired()) return;
+    member.observation = observe_member(suspicious, bb.prompt);
+    // observe_member's three passes: D_T^train, D_Q and D_T^test.
+    member.queries +=
+        target_train_.size() + query_set_.size() + target_test_.size();
+    member.exhausted = bb.budget_exhausted;
+    member.ran = true;
+  }, config_.pool);
 
   Verdict verdict;
   bool all_ran = true;

@@ -66,13 +66,14 @@ struct BpromConfig {
   /// combined feature set; disable to use summaries only.
   bool include_query_features = true;
   /// Pool used to train/prompt the shadow population in parallel and to run
-  /// the inspection prompt ensemble on per-thread model replicas; nullptr
-  /// selects the process-wide pool (BPROM_THREADS).  Results are identical
-  /// for any thread count: each shadow draws from an Rng stream pre-split
-  /// from the root seed on the calling thread, and each ensemble member is
-  /// seeded by its index.  A non-null pool is borrowed, not owned — it must
-  /// outlive every detector constructed from this config (both fit() and
-  /// inspect() dereference it).
+  /// the inspection prompt ensemble, whose members query the suspicious
+  /// model concurrently; nullptr selects the process-wide pool
+  /// (BPROM_THREADS).  Results are identical for any thread count: each
+  /// shadow draws from an Rng stream pre-split from the root seed on the
+  /// calling thread, and each ensemble member is seeded by its index.  A
+  /// non-null pool is borrowed, not owned — it must outlive every detector
+  /// constructed from this config (both fit() and inspect() dereference
+  /// it).
   util::ThreadPool* pool = nullptr;
   /// Sort each query's confidence vector descending before concatenation.
   /// Makes the meta features invariant to which class the attacker targets
@@ -96,7 +97,7 @@ struct Verdict {
   /// this into Status::kBudgetExhausted instead of a silent default.
   bool budget_exhausted = false;
   /// True when an InspectDeadline expired mid-inspection: at least one
-  /// prompt-ensemble member was skipped, so score/prompted_accuracy are
+  /// prompt-ensemble member did not finish, so score/prompted_accuracy are
   /// meaningless — but `queries` still reports exactly what the aborted
   /// inspection spent (the caller's budget accounting owes its users that).
   /// The api façade turns this into Status::kDeadlineExceeded.
@@ -106,8 +107,9 @@ struct Verdict {
 /// Wall-clock deadline threaded into inspect() by serving layers.  The
 /// clock is anchored wherever the caller started it (api::AuditEngine
 /// anchors at batch submission, so async queue wait counts), and inspect()
-/// re-checks it between prompt-ensemble members — the coarsest boundary at
-/// which aborting cannot split a CMA-ES/SPSA optimization mid-stream.
+/// re-checks it before each prompt-ensemble member's prompt learning and
+/// again before its observation pass — the boundaries at which aborting
+/// cannot split a CMA-ES/SPSA optimization mid-stream.
 /// Deadlines are inherently wall-clock and therefore the one knob that can
 /// make results thread-count-dependent; pass nullptr when reproducibility
 /// matters.
@@ -147,14 +149,15 @@ class BpromDetector {
            const nn::LabeledData& target_test);
 
   /// Inspect a suspicious model through black-box queries only.  The prompt
-  /// ensemble runs in parallel on replicas when the model supports
-  /// replicate(); results are bit-identical to the serial path for any
-  /// thread count.  `seed_salt` offsets the ensemble prompt seeds — serving
-  /// layers pass per-request pre-split salts; 0 reproduces the historical
-  /// seeding.  A non-null `deadline` is re-checked between ensemble
-  /// members: once it expires, remaining members are skipped and the
-  /// verdict comes back with deadline_exceeded set and the exact queries
-  /// spent so far (see Verdict::deadline_exceeded).  Throws
+  /// ensemble members run in parallel, all querying `suspicious` at once
+  /// (BlackBoxModel::predict_proba may be called concurrently); results
+  /// are bit-identical for any thread count.  `seed_salt` offsets the
+  /// ensemble prompt seeds — serving layers pass per-request pre-split
+  /// salts; 0 reproduces the historical seeding.  A non-null `deadline` is
+  /// checked before each member's prompt learning and before its
+  /// observation pass: once it expires, the remaining steps are skipped
+  /// and the verdict comes back with deadline_exceeded set and the exact
+  /// queries spent so far (see Verdict::deadline_exceeded).  Throws
   /// std::invalid_argument with inspectable()'s message when that check
   /// fails.
   [[nodiscard]] Verdict inspect(const nn::BlackBoxModel& suspicious,

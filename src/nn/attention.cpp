@@ -23,37 +23,46 @@ SpatialSelfAttention::SpatialSelfAttention(std::size_t channels,
                         1.0F / std::sqrt(static_cast<float>(channels)))) {}
 
 Tensor SpatialSelfAttention::forward(const Tensor& x, bool /*train*/) {
-  assert(x.rank() == 4 && x.dim(1) == channels_);
   in_shape_ = x.shape();
+  return run(x, acts_);
+}
+
+Tensor SpatialSelfAttention::infer(const Tensor& x) const {
+  Activations acts;
+  return run(x, acts);
+}
+
+Tensor SpatialSelfAttention::run(const Tensor& x, Activations& acts) const {
+  assert(x.rank() == 4 && x.dim(1) == channels_);
   const std::size_t n = x.dim(0);
   const std::size_t c = channels_;
   const std::size_t t = x.dim(2) * x.dim(3);
 
-  // Re-layout [N, C, H, W] -> tokens [N, T, C].  Caches resize in place,
-  // so the steady state reuses their allocations.
-  x_tokens_.resize({n, t, c});
+  // Re-layout [N, C, H, W] -> tokens [N, T, C].  Activations resize in
+  // place, so forward's member cache reuses its allocations.
+  acts.x_tokens.resize({n, t, c});
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t ch = 0; ch < c; ++ch) {
       const float* px = x.data() + (b * c + ch) * t;
       for (std::size_t i = 0; i < t; ++i) {
-        x_tokens_[(b * t + i) * c + ch] = px[i];
+        acts.x_tokens[(b * t + i) * c + ch] = px[i];
       }
     }
   }
 
-  q_.resize({n, t, c});
-  k_.resize({n, t, c});
-  v_.resize({n, t, c});
-  attn_.resize({n, t, t});
-  ctx_.resize({n, t, c});
-  out_tokens_.resize({n, t, c});
+  acts.q.resize({n, t, c});
+  acts.k.resize({n, t, c});
+  acts.v.resize({n, t, c});
+  acts.attn.resize({n, t, t});
+  acts.ctx.resize({n, t, c});
+  acts.out_tokens.resize({n, t, c});
   const float inv_scale = 1.0F / std::sqrt(static_cast<float>(c));
 
   for (std::size_t b = 0; b < n; ++b) {
-    const float* xb = x_tokens_.data() + b * t * c;
-    float* qb = q_.data() + b * t * c;
-    float* kb = k_.data() + b * t * c;
-    float* vb = v_.data() + b * t * c;
+    const float* xb = acts.x_tokens.data() + b * t * c;
+    float* qb = acts.q.data() + b * t * c;
+    float* kb = acts.k.data() + b * t * c;
+    float* vb = acts.v.data() + b * t * c;
     // Projections: [T, C] x [C, C].
     tensor::gemm(Trans::kNo, Trans::kNo, t, c, c, xb, c,
                  wq_.value.data(), c, qb, c, /*accumulate=*/false);
@@ -63,7 +72,7 @@ Tensor SpatialSelfAttention::forward(const Tensor& x, bool /*train*/) {
                  wv_.value.data(), c, vb, c, /*accumulate=*/false);
 
     // Scores Q . K^T, then scaled row softmax in place.
-    float* ab = attn_.data() + b * t * t;
+    float* ab = acts.attn.data() + b * t * t;
     tensor::gemm(Trans::kNo, Trans::kYes, t, t, c, qb, c, kb, c, ab, t,
                  /*accumulate=*/false);
     for (std::size_t i = 0; i < t; ++i) {
@@ -84,22 +93,22 @@ Tensor SpatialSelfAttention::forward(const Tensor& x, bool /*train*/) {
     }
 
     // ctx = A . V, out = ctx . Wo + residual.
-    float* cb = ctx_.data() + b * t * c;
+    float* cb = acts.ctx.data() + b * t * c;
     tensor::gemm(Trans::kNo, Trans::kNo, t, c, t, ab, t, vb, c, cb, c,
                  /*accumulate=*/false);
-    float* ob = out_tokens_.data() + b * t * c;
+    float* ob = acts.out_tokens.data() + b * t * c;
     tensor::gemm(Trans::kNo, Trans::kNo, t, c, c, cb, c,
                  wo_.value.data(), c, ob, c, /*accumulate=*/false);
     for (std::size_t i = 0; i < t * c; ++i) ob[i] += xb[i];
   }
 
   // Back to [N, C, H, W].
-  Tensor y(in_shape_);
+  Tensor y(x.shape());
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t ch = 0; ch < c; ++ch) {
       float* py = y.data() + (b * c + ch) * t;
       for (std::size_t i = 0; i < t; ++i) {
-        py[i] = out_tokens_[(b * t + i) * c + ch];
+        py[i] = acts.out_tokens[(b * t + i) * c + ch];
       }
     }
   }
@@ -132,12 +141,12 @@ Tensor SpatialSelfAttention::backward(const Tensor& grad_out) {
   dv_.resize(t * c);
 
   for (std::size_t b = 0; b < n; ++b) {
-    const float* xb = x_tokens_.data() + b * t * c;
-    const float* qb = q_.data() + b * t * c;
-    const float* kb = k_.data() + b * t * c;
-    const float* vb = v_.data() + b * t * c;
-    const float* ab = attn_.data() + b * t * t;
-    const float* cb = ctx_.data() + b * t * c;
+    const float* xb = acts_.x_tokens.data() + b * t * c;
+    const float* qb = acts_.q.data() + b * t * c;
+    const float* kb = acts_.k.data() + b * t * c;
+    const float* vb = acts_.v.data() + b * t * c;
+    const float* ab = acts_.attn.data() + b * t * t;
+    const float* cb = acts_.ctx.data() + b * t * c;
     const float* gb = dout_.data() + b * t * c;
     float* dxb = dx_tokens_.data() + b * t * c;
 

@@ -15,6 +15,7 @@ class SpatialSelfAttention final : public Layer {
   SpatialSelfAttention(std::size_t channels, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override {
     return {&wq_, &wk_, &wv_, &wo_};
@@ -27,6 +28,18 @@ class SpatialSelfAttention final : public Layer {
   }
 
  private:
+  /// Token-layout activations of one forward pass.
+  struct Activations {
+    Tensor x_tokens;    // [N, T, C]
+    Tensor q, k, v;
+    Tensor attn;        // [N, T, T]
+    Tensor ctx;         // [N, T, C]  (attn * V, pre-output-projection)
+    Tensor out_tokens;  // [N, T, C]  forward output in token layout
+  };
+
+  /// The forward arithmetic: fills `acts` and returns the block output.
+  [[nodiscard]] Tensor run(const Tensor& x, Activations& acts) const;
+
   std::size_t channels_;
   Parameter wq_;  // [C, C]
   Parameter wk_;
@@ -34,11 +47,7 @@ class SpatialSelfAttention final : public Layer {
   Parameter wo_;
   // Forward cache (per batch).  All caches and backward scratch buffers
   // resize in place, so the steady state reuses their allocations.
-  Tensor x_tokens_;  // [N, T, C]
-  Tensor q_, k_, v_;
-  Tensor attn_;        // [N, T, T]
-  Tensor ctx_;         // [N, T, C]  (attn * V, pre-output-projection)
-  Tensor out_tokens_;  // [N, T, C]  forward output in token layout
+  Activations acts_;
   // Backward scratch (per sample except the token-layout dout/dx).
   Tensor dout_;
   Tensor dx_tokens_;

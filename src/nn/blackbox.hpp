@@ -19,6 +19,9 @@ class BlackBoxModel {
   virtual ~BlackBoxModel() = default;
 
   /// Softmax confidence vectors [N, K] for an image batch [N, C, H, W].
+  /// May be called concurrently, as any remote MLaaS endpoint may be:
+  /// inspect() and learn_prompt_blackbox query one box from several pool
+  /// threads at once.
   virtual Tensor predict_proba(const Tensor& images) const = 0;
 
   [[nodiscard]] virtual std::size_t num_classes() const = 0;
@@ -27,26 +30,23 @@ class BlackBoxModel {
   /// Number of queries served so far (for query-budget accounting).
   [[nodiscard]] virtual std::size_t query_count() const = 0;
 
-  /// Deep-copy into an independently queryable replica with its own query
-  /// counter, or nullptr when the backing service cannot be replicated.
-  /// Replicas let callers fan queries out across threads (one Model
-  /// instance is single-threaded — forward passes cache activations)
-  /// without widening the interface beyond confidence vectors.
+  /// Returns nullptr, and nothing in the library calls it.  It stays
+  /// declared only because the audit benchmark's TracedBlackBox
+  /// (benchmark/trace.hpp) overrides it.
   [[nodiscard]] virtual std::unique_ptr<BlackBoxModel> replicate() const {
     return nullptr;
   }
 };
 
-/// Adapter exposing a concrete Model through the black-box interface.
-/// Mutable access is required internally (forward passes cache activations)
-/// but nothing beyond confidence vectors crosses the interface.  The
-/// adapter either borrows a caller-owned model or owns one outright (what
-/// replicate() hands back, and what serving code uses for models loaded
-/// from disk).
+/// Adapter exposing a concrete Model through the black-box interface:
+/// nothing beyond confidence vectors crosses it.  Model::predict_proba
+/// writes no state, so concurrent queries are safe.  The adapter either
+/// borrows a caller-owned model or owns one outright (what serving code
+/// uses for models loaded from disk).
 class BlackBoxAdapter final : public BlackBoxModel {
  public:
   /// Borrow `model`; it must outlive the adapter.
-  explicit BlackBoxAdapter(Model& model) : model_(&model) {}
+  explicit BlackBoxAdapter(const Model& model) : model_(&model) {}
 
   /// Own `model`.
   explicit BlackBoxAdapter(std::unique_ptr<Model> model)
@@ -65,8 +65,8 @@ class BlackBoxAdapter final : public BlackBoxModel {
   }
 
   Tensor predict_proba(const Tensor& images) const override {
-    // relaxed: a pure tally — totals are read after the fan-out joins
-    // (which synchronizes), never used to order other memory.
+    // relaxed: a pure tally — totals are read after the concurrent queries
+    // join (which synchronizes), never used to order other memory.
     queries_.fetch_add(images.dim(0), std::memory_order_relaxed);
     return model_->predict_proba(images);
   }
@@ -82,22 +82,11 @@ class BlackBoxAdapter final : public BlackBoxModel {
     return queries_.load(std::memory_order_relaxed);
   }
 
-  /// The replica starts with a zero query counter; callers that fan work
-  /// out over replicas must add each replica's query_count() back into
-  /// their own accounting (learn_prompt_blackbox and BpromDetector::inspect
-  /// do) so totals stay exact.
-  [[nodiscard]] std::unique_ptr<BlackBoxModel> replicate() const override {
-    return std::make_unique<BlackBoxAdapter>(model_->clone());
-  }
-
  private:
   std::unique_ptr<Model> owned_;  // null when the model is borrowed
-  Model* model_;
-  // Relaxed atomic: one adapter may be queried from several pool threads
-  // (the underlying Model is not — callers replicate() per thread — but
-  // nothing in this interface stops concurrent const queries, and a plain
-  // size_t made that a data race).  Counting needs no ordering, only
-  // atomicity.
+  const Model* model_;
+  // Relaxed atomic: concurrent queries each add their rows.  Counting
+  // needs no ordering, only atomicity.
   mutable std::atomic<std::size_t> queries_{0};
 };
 

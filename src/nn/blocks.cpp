@@ -37,6 +37,20 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   return relu_out_.forward(h, train);
 }
 
+Tensor ResidualBlock::infer(const Tensor& x) const {
+  Tensor h = conv1_.infer(x);
+  h = bn1_.infer(h);
+  h = relu1_.infer(h);
+  h = conv2_.infer(h);
+  h = bn2_.infer(h);
+  if (proj_) {
+    h.add(proj_bn_->infer(proj_->infer(x)));
+  } else {
+    h.add(x);
+  }
+  return relu_out_.infer(h);
+}
+
 Tensor ResidualBlock::backward(const Tensor& grad_out) {
   Tensor g = relu_out_.backward(grad_out);
   // Skip path.
@@ -95,6 +109,16 @@ Tensor DepthwiseSeparableBlock::forward(const Tensor& x, bool train) {
   h = bn2_.forward(h, train);
   if (has_skip_) h.add(x);
   return relu_out_.forward(h, train);
+}
+
+Tensor DepthwiseSeparableBlock::infer(const Tensor& x) const {
+  Tensor h = dw_.infer(x);
+  h = bn1_.infer(h);
+  h = relu1_.infer(h);
+  h = pw_.infer(h);
+  h = bn2_.infer(h);
+  if (has_skip_) h.add(x);
+  return relu_out_.infer(h);
 }
 
 Tensor DepthwiseSeparableBlock::backward(const Tensor& grad_out) {

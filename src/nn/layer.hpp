@@ -5,11 +5,11 @@
 // gradient during backward.  Models are small and trained on CPU, so
 // clarity and testability win over generality.
 //
-// Threading: a Layer instance is NOT re-entrant (it caches forward state);
-// each model must be driven by one thread at a time.  Parallelism across
-// models comes from per-thread clone()s; within one forward call, large
-// batch loops additionally shard over the pool with disjoint outputs (see
-// layers.cpp), which preserves the one-driving-thread rule.
+// Threading: forward()/backward() cache state in the layer, so one thread
+// at a time drives that training path.  infer() writes nothing, so any
+// number of threads may call it at once, on the same instance.  Within one
+// call, large batch loops additionally shard over the pool with disjoint
+// outputs (see layers.cpp).
 #pragma once
 
 #include <memory>
@@ -44,6 +44,11 @@ class Layer {
   /// overload; this default just binds the argument as an lvalue.
   virtual Tensor forward(Tensor&& x, bool train) { return forward(x, train); }
 
+  /// Inference forward: returns exactly what forward(x, false) returns
+  /// and writes no member, so it is safe to call concurrently.  Nothing
+  /// may backward() through it.
+  [[nodiscard]] virtual Tensor infer(const Tensor& x) const = 0;
+
   /// Backward pass given dL/d(output); returns dL/d(input) and accumulates
   /// parameter gradients.  Must be called after a matching forward.
   virtual Tensor backward(const Tensor& grad_out) = 0;
@@ -59,8 +64,8 @@ class Layer {
   /// BatchNorm running statistics.  Forward caches are NOT state.
   virtual std::vector<std::vector<float>*> state() { return {}; }
 
-  /// Deep copy: parameters, state, and structure are duplicated so the
-  /// replica can run forward/backward on another thread independently.
+  /// Deep copy: parameters, state, and structure are duplicated, so
+  /// training either copy leaves the other unchanged.
   [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "tensor/gemm.hpp"
 #include "util/thread_pool.hpp"
@@ -22,7 +21,7 @@ float he_stddev(std::size_t fan_in) {
 // accumulate in the serial order, so the parallel forward is bit-identical
 // to the serial one.  Backward passes shard in one of two ways:
 //   - over an axis that owns its accumulators outright (channels for
-//     depthwise conv / batchnorm, samples for dx scatter) — bit-identical
+//     depthwise conv / batchnorm, samples for the pooling dx) — bit-identical
 //     to the serial loop; or
 //   - over the batch with per-shard dw/db partial buffers reduced in fixed
 //     ascending-shard order (Linear, Conv2d, whose weight gradients are
@@ -98,8 +97,12 @@ Linear::Linear(std::size_t in, std::size_t out, util::Rng& rng)
       bias_(Tensor({out})) {}
 
 Tensor Linear::forward(const Tensor& x, bool /*train*/) {
-  assert(x.rank() == 2 && x.dim(1) == in_);
   input_ = x;
+  return infer(x);
+}
+
+Tensor Linear::infer(const Tensor& x) const {
+  assert(x.rank() == 2 && x.dim(1) == in_);
   const std::size_t n = x.dim(0);
   Tensor y({n, out_});
   // y = b (broadcast per row), then y += x . W^T.  The kernel folds
@@ -183,14 +186,31 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   batch_ = x.dim(0);
   geom_ = tensor::ConvGeometry{in_c_, x.dim(2), x.dim(3),
                                kernel_, stride_, pad_};
-  // The im2col matrix is rebuilt into the persistent member buffer, so the
-  // steady-state forward reuses one allocation across calls.
+  // The im2col matrix backward reads is rebuilt into the persistent member
+  // buffer, so the steady-state forward reuses one allocation across calls.
   tensor::im2col_into(x, geom_, cols_);
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
+  return apply(cols_, batch_, geom_);
+}
+
+Tensor Conv2d::infer(const Tensor& x) const {
+  assert(x.rank() == 4 && x.dim(1) == in_c_);
+  const tensor::ConvGeometry geom{in_c_, x.dim(2), x.dim(3),
+                                  kernel_, stride_, pad_};
+  // A per-call buffer, not a util::Scratch slot: the GEMMs below may
+  // re-enter the pool, and a task run on this thread meanwhile could claim
+  // the same slot.
+  Tensor cols;
+  tensor::im2col_into(x, geom, cols);
+  return apply(cols, x.dim(0), geom);
+}
+
+Tensor Conv2d::apply(const Tensor& cols, std::size_t batch,
+                     const tensor::ConvGeometry& geom) const {
+  const std::size_t oh = geom.out_h();
+  const std::size_t ow = geom.out_w();
   const std::size_t hw = oh * ow;
-  const std::size_t patch = geom_.patch_size();
-  Tensor y({batch_, out_c_, oh, ow});
+  const std::size_t patch = geom.patch_size();
+  Tensor y({batch, out_c_, oh, ow});
   const float* w = weight_.value.data();
   const float* b = bias_.value.data();
   // Per sample: y_b = W . cols_b on top of the broadcast bias, with cols_b
@@ -200,20 +220,20 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   // size, and the kernel arithmetic is identical either way, so results are
   // bit-identical for any thread count.
   const bool shard_batch =
-      batch_ > 1 && batch_ * hw * out_c_ * patch >= kParallelOps;
+      batch > 1 && batch * hw * out_c_ * patch >= kParallelOps;
   const auto sample = [&](std::size_t bi) {
     float* yb = y.data() + bi * out_c_ * hw;
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       std::fill_n(yb + oc * hw, hw, b[oc]);
     }
     tensor::gemm(Trans::kNo, Trans::kNo, out_c_, hw, patch, w, patch,
-                 cols_.data() + bi * patch * hw, hw, yb, hw,
+                 cols.data() + bi * patch * hw, hw, yb, hw,
                  /*accumulate=*/true, /*allow_parallel=*/!shard_batch);
   };
   if (shard_batch) {
-    util::parallel_for(batch_, sample);
+    util::parallel_for(batch, sample);
   } else {
-    for (std::size_t bi = 0; bi < batch_; ++bi) sample(bi);
+    for (std::size_t bi = 0; bi < batch; ++bi) sample(bi);
   }
   return y;
 }
@@ -295,8 +315,12 @@ DepthwiseConv2d::DepthwiseConv2d(std::size_t channels, std::size_t kernel,
       bias_(Tensor({channels})) {}
 
 Tensor DepthwiseConv2d::forward(const Tensor& x, bool /*train*/) {
-  assert(x.rank() == 4 && x.dim(1) == channels_);
   input_ = x;
+  return infer(x);
+}
+
+Tensor DepthwiseConv2d::infer(const Tensor& x) const {
+  assert(x.rank() == 4 && x.dim(1) == channels_);
   const std::size_t n = x.dim(0);
   const tensor::ConvGeometry g{channels_, x.dim(2), x.dim(3),
                                kernel_, stride_, pad_};
@@ -401,7 +425,6 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const auto count = static_cast<float>(n * hw);
 
   batch_mean_.assign(channels_, 0.0F);
-  batch_inv_std_.assign(channels_, 0.0F);
   std::vector<float> var(channels_, 0.0F);
 
   if (train) {
@@ -443,24 +466,44 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
     batch_mean_ = running_mean_;
     var = running_var_;
   }
-  for (std::size_t c = 0; c < channels_; ++c) {
-    batch_inv_std_[c] = 1.0F / std::sqrt(var[c] + eps_);
-  }
-
+  batch_inv_std_ = inv_std(var);
   normalized_.resize(x.shape());
+  return normalize(x, batch_mean_, batch_inv_std_, &normalized_);
+}
+
+Tensor BatchNorm2d::infer(const Tensor& x) const {
+  assert(x.rank() == 4 && x.dim(1) == channels_);
+  return normalize(x, running_mean_, inv_std(running_var_), nullptr);
+}
+
+std::vector<float> BatchNorm2d::inv_std(const std::vector<float>& var) const {
+  std::vector<float> out(channels_);
+  for (std::size_t c = 0; c < channels_; ++c) {
+    out[c] = 1.0F / std::sqrt(var[c] + eps_);
+  }
+  return out;
+}
+
+Tensor BatchNorm2d::normalize(const Tensor& x, const std::vector<float>& mean,
+                              const std::vector<float>& inv_std,
+                              Tensor* normalized) const {
+  const std::size_t n = x.dim(0);
+  const std::size_t hw = x.dim(2) * x.dim(3);
   Tensor y(x.shape());
   shard_loop(n, n * channels_ * hw, [&](std::size_t b) {
     for (std::size_t c = 0; c < channels_; ++c) {
-      const float* px = x.data() + (b * channels_ + c) * hw;
-      float* pn = normalized_.data() + (b * channels_ + c) * hw;
-      float* py = y.data() + (b * channels_ + c) * hw;
-      const float m = batch_mean_[c];
-      const float is = batch_inv_std_[c];
+      const std::size_t at = (b * channels_ + c) * hw;
+      const float* px = x.data() + at;
+      float* pn = normalized != nullptr ? normalized->data() + at : nullptr;
+      float* py = y.data() + at;
+      const float m = mean[c];
+      const float is = inv_std[c];
       const float g = gamma_.value[c];
       const float bt = beta_.value[c];
       for (std::size_t i = 0; i < hw; ++i) {
-        pn[i] = (px[i] - m) * is;
-        py[i] = g * pn[i] + bt;
+        const float v = (px[i] - m) * is;
+        if (pn != nullptr) pn[i] = v;
+        py[i] = g * v + bt;
       }
     }
   });
@@ -515,11 +558,16 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
 
 Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
   mask_.resize(x.shape());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    mask_[i] = x[i] > 0.0F ? 1.0F : 0.0F;
+  }
+  return infer(x);
+}
+
+Tensor ReLU::infer(const Tensor& x) const {
   Tensor y(x.shape());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const bool pos = x[i] > 0.0F;
-    mask_[i] = pos ? 1.0F : 0.0F;
-    y[i] = pos ? x[i] : 0.0F;
+    y[i] = x[i] > 0.0F ? x[i] : 0.0F;
   }
   return y;
 }
@@ -536,6 +584,10 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 
 Tensor Gelu::forward(const Tensor& x, bool /*train*/) {
   input_ = x;
+  return infer(x);
+}
+
+Tensor Gelu::infer(const Tensor& x) const {
   Tensor y(x.shape());
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float v = x[i];
@@ -558,71 +610,15 @@ Tensor Gelu::backward(const Tensor& grad_out) {
   return dx;
 }
 
-// ------------------------------------------------------------- MaxPool2d
-
-MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {}
-
-Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
-  assert(x.rank() == 4);
-  in_shape_ = x.shape();
-  const std::size_t n = x.dim(0);
-  const std::size_t c = x.dim(1);
-  const std::size_t h = x.dim(2);
-  const std::size_t w = x.dim(3);
-  const std::size_t oh = h / window_;
-  const std::size_t ow = w / window_;
-  Tensor y({n, c, oh, ow});
-  argmax_.assign(n * c * oh * ow, 0);
-  shard_loop(n, n * c * h * w, [&](std::size_t b) {
-    std::size_t out_i = b * c * oh * ow;
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox, ++out_i) {
-          // Seed below every representable input so windows whose values
-          // are all <= -1e30 still pool their true maximum (the old
-          // -1e30F sentinel clamped them and pointed argmax at index 0).
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t arg = 0;
-          for (std::size_t ky = 0; ky < window_; ++ky) {
-            for (std::size_t kx = 0; kx < window_; ++kx) {
-              const std::size_t iy = oy * window_ + ky;
-              const std::size_t ix = ox * window_ + kx;
-              const std::size_t flat =
-                  ((b * c + ch) * h + iy) * w + ix;
-              if (x[flat] > best) {
-                best = x[flat];
-                arg = flat;
-              }
-            }
-          }
-          y[out_i] = best;
-          argmax_[out_i] = arg;
-        }
-      }
-    }
-  });
-  return y;
-}
-
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  Tensor dx(in_shape_);
-  // The argmax of an output element always lies inside that sample's input
-  // slice, so sharding the scatter over samples keeps writes disjoint.
-  const std::size_t n = in_shape_[0];
-  const std::size_t per_sample = grad_out.size() / n;
-  shard_loop(n, grad_out.size(), [&](std::size_t b) {
-    for (std::size_t i = b * per_sample; i < (b + 1) * per_sample; ++i) {
-      dx[argmax_[i]] += grad_out[i];
-    }
-  });
-  return dx;
-}
-
 // --------------------------------------------------------- GlobalAvgPool
 
 Tensor GlobalAvgPool::forward(const Tensor& x, bool /*train*/) {
-  assert(x.rank() == 4);
   in_shape_ = x.shape();
+  return infer(x);
+}
+
+Tensor GlobalAvgPool::infer(const Tensor& x) const {
+  assert(x.rank() == 4);
   const std::size_t n = x.dim(0);
   const std::size_t c = x.dim(1);
   const std::size_t hw = x.dim(2) * x.dim(3);
@@ -665,6 +661,12 @@ Tensor Flatten::forward(Tensor&& x, bool /*train*/) {
   in_shape_ = x.shape();
   Tensor y = std::move(x);
   y.reshape({in_shape_[0], y.size() / in_shape_[0]});
+  return y;
+}
+
+Tensor Flatten::infer(const Tensor& x) const {
+  Tensor y = x;
+  y.reshape({x.dim(0), x.size() / x.dim(0)});
   return y;
 }
 

@@ -1,5 +1,5 @@
 // Primitive layers: Linear, Conv2d, DepthwiseConv2d, BatchNorm2d, ReLU,
-// GELU, MaxPool2d, GlobalAvgPool, Flatten.
+// GELU, GlobalAvgPool, Flatten.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +16,7 @@ class Linear final : public Layer {
   Linear(std::size_t in, std::size_t out, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -45,6 +46,7 @@ class Conv2d final : public Layer {
          std::size_t stride, std::size_t pad, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -53,6 +55,11 @@ class Conv2d final : public Layer {
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
  private:
+  /// y = W . cols + b for the im2col matrix `cols` of a `batch`-sample
+  /// input with geometry `geom`: the GEMM both forward paths share.
+  [[nodiscard]] Tensor apply(const Tensor& cols, std::size_t batch,
+                             const tensor::ConvGeometry& geom) const;
+
   std::size_t in_c_;
   std::size_t out_c_;
   std::size_t kernel_;
@@ -76,6 +83,7 @@ class DepthwiseConv2d final : public Layer {
                   std::size_t pad, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -99,6 +107,7 @@ class BatchNorm2d final : public Layer {
                        float eps = 1e-5F);
 
   Tensor forward(const Tensor& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }
   std::vector<std::vector<float>*> state() override {
@@ -110,6 +119,15 @@ class BatchNorm2d final : public Layer {
   [[nodiscard]] std::string name() const override { return "BatchNorm2d"; }
 
  private:
+  /// 1 / sqrt(var + eps) per channel.
+  [[nodiscard]] std::vector<float> inv_std(const std::vector<float>& var) const;
+  /// y = gamma * (x - mean) * inv_std + beta per channel.  A non-null
+  /// `normalized` also receives (x - mean) * inv_std, which backward reads.
+  [[nodiscard]] Tensor normalize(const Tensor& x,
+                                 const std::vector<float>& mean,
+                                 const std::vector<float>& inv_std,
+                                 Tensor* normalized) const;
+
   std::size_t channels_;
   float momentum_;
   float eps_;
@@ -127,6 +145,7 @@ class BatchNorm2d final : public Layer {
 class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<ReLU>(*this);
@@ -140,6 +159,7 @@ class ReLU final : public Layer {
 class Gelu final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Gelu>(*this);
@@ -150,26 +170,10 @@ class Gelu final : public Layer {
   Tensor input_;
 };
 
-class MaxPool2d final : public Layer {
- public:
-  explicit MaxPool2d(std::size_t window = 2);
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<MaxPool2d>(*this);
-  }
-  [[nodiscard]] std::string name() const override { return "MaxPool2d"; }
-
- private:
-  std::size_t window_;
-  std::vector<std::size_t> argmax_;
-  std::vector<std::size_t> in_shape_;
-};
-
 class GlobalAvgPool final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<GlobalAvgPool>(*this);
@@ -184,6 +188,7 @@ class Flatten final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
   Tensor forward(Tensor&& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   Tensor backward(Tensor&& grad_out) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {

@@ -21,16 +21,16 @@ Tensor Model::logits(const Tensor& images, bool train) {
   return head_->forward(std::move(f), train);
 }
 
-Tensor Model::features(const Tensor& images) {
-  return backbone_->forward(images, /*train=*/false);
+Tensor Model::features(const Tensor& images) const {
+  return backbone_->infer(images);
 }
 
-Tensor Model::predict_proba(const Tensor& images) {
-  return softmax(logits(images, /*train=*/false));
+Tensor Model::predict_proba(const Tensor& images) const {
+  return softmax(head_->infer(features(images)));
 }
 
-std::vector<int> Model::predict(const Tensor& images) {
-  Tensor l = logits(images, /*train=*/false);
+std::vector<int> Model::predict(const Tensor& images) const {
+  Tensor l = head_->infer(features(images));
   const std::size_t n = l.dim(0);
   std::vector<int> out(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -44,7 +44,8 @@ std::vector<int> Model::predict(const Tensor& images) {
   return out;
 }
 
-double Model::accuracy(const Tensor& images, const std::vector<int>& labels) {
+double Model::accuracy(const Tensor& images,
+                       const std::vector<int>& labels) const {
   const auto preds = predict(images);
   assert(preds.size() == labels.size());
   std::size_t hits = 0;

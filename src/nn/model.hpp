@@ -35,20 +35,24 @@ class Model {
   Model(std::unique_ptr<Sequential> backbone, std::unique_ptr<Linear> head,
         ImageShape input, std::size_t classes);
 
-  /// Logits [N, K] for an image batch [N, C, H, W].
+  /// Logits [N, K] for an image batch [N, C, H, W].  Caches what
+  /// backward() reads: the training path, one thread at a time.
   Tensor logits(const Tensor& images, bool train = false);
 
+  // The eval-only methods below run Layer::infer: they write nothing, so
+  // any number of threads may call them at once.
+
   /// Penultimate features [N, D] (backbone output, eval mode).
-  Tensor features(const Tensor& images);
+  Tensor features(const Tensor& images) const;
 
   /// Softmax probabilities [N, K] (eval mode).
-  Tensor predict_proba(const Tensor& images);
+  Tensor predict_proba(const Tensor& images) const;
 
   /// Argmax predictions.
-  std::vector<int> predict(const Tensor& images);
+  std::vector<int> predict(const Tensor& images) const;
 
   /// Fraction of correct argmax predictions.
-  double accuracy(const Tensor& images, const std::vector<int>& labels);
+  double accuracy(const Tensor& images, const std::vector<int>& labels) const;
 
   /// Backprop dL/dlogits through head and backbone; returns dL/dinput.
   /// Must follow a logits() call on the same batch.
@@ -60,8 +64,8 @@ class Model {
   /// same deterministic order as parameters().
   std::vector<std::vector<float>*> state_buffers();
 
-  /// Deep copy: layers, weights, and running stats are duplicated so the
-  /// replica can serve forward passes on another thread independently.
+  /// Deep copy: layers, weights, and running stats are duplicated, so
+  /// training either copy leaves the other unchanged.
   [[nodiscard]] std::unique_ptr<Model> clone() const;
 
   [[nodiscard]] const ImageShape& input_shape() const { return input_; }

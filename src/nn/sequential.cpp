@@ -14,6 +14,14 @@ Tensor Sequential::forward(Tensor&& x, bool train) {
   return h;
 }
 
+Tensor Sequential::infer(const Tensor& x) const {
+  if (layers_.empty()) return x;
+  // Each layer returns a fresh tensor, so the chain never copies `x`.
+  Tensor h = layers_.front()->infer(x);
+  for (std::size_t i = 1; i < layers_.size(); ++i) h = layers_[i]->infer(h);
+  return h;
+}
+
 Tensor Sequential::backward(const Tensor& grad_out) {
   return backward(Tensor(grad_out));
 }

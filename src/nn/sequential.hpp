@@ -26,6 +26,7 @@ class Sequential final : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor forward(Tensor&& x, bool train) override;
+  [[nodiscard]] Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   Tensor backward(Tensor&& grad_out) override;
   std::vector<Parameter*> parameters() override;

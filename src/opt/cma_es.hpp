@@ -49,8 +49,8 @@ class CmaEs {
   using Objective = std::function<double(const std::vector<double>&)>;
   /// Receives one whole generation's candidate vector at a time and returns
   /// fitness[i] for candidates[i].  Gives the caller the full generation to
-  /// fan out over threads / model replicas; CMA-ES itself only needs the
-  /// final per-candidate values, so any evaluation schedule is admissible.
+  /// evaluate concurrently; CMA-ES itself only needs the final
+  /// per-candidate values, so any evaluation schedule is admissible.
   using BatchObjective = std::function<std::vector<double>(
       const std::vector<std::vector<double>>&)>;
 

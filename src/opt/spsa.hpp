@@ -26,7 +26,7 @@ struct SpsaResult {
 
 /// Receives every point one SPSA step needs at once — the initial {x0},
 /// then {x+, x-} per iteration — and returns the objective value for each.
-/// Lets the caller evaluate the pair on two model replicas in parallel.
+/// Lets the caller evaluate the pair in parallel.
 using SpsaBatchObjective = std::function<std::vector<double>(
     const std::vector<std::vector<double>>&)>;
 

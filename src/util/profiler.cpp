@@ -51,11 +51,7 @@ const char* profile_stage_name(ProfileStage stage) {
 Profiler::Profiler() = default;
 
 void Profiler::record(ProfileStage stage, std::uint64_t value) {
-  // relaxed: epoch selection needs no ordering — a writer straddling a
-  // flip lands its whole sample in one buffer or the other, and the fold
-  // reads both buffers' atomics individually.
-  Epoch& epoch = epochs_[live_.load(std::memory_order_relaxed) & 1U];
-  StageCounters& c = epoch.stages[static_cast<std::size_t>(stage)];
+  StageCounters& c = stages_[static_cast<std::size_t>(stage)];
   // relaxed: samples are integers folded commutatively; no reader ever
   // infers cross-counter ordering (count/sum/min/max may transiently
   // disagree mid-record and the fold tolerates that).
@@ -77,13 +73,13 @@ void Profiler::record(ProfileStage stage, std::uint64_t value) {
   c.histogram[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
 }
 
-void Profiler::fold_and_reset(Epoch& epoch) {
+void Profiler::fold_and_reset() {
   for (std::size_t s = 0; s < kProfileStages; ++s) {
-    StageCounters& src = epoch.stages[s];
+    StageCounters& src = stages_[s];
     CumulativeStage& dst = cumulative_[s];
     // relaxed: each exchange is individually atomic against writer RMWs,
-    // and that is the whole requirement — a sample straddling the fold
-    // lands in either this fold or the next, never both, never torn.
+    // and that is the whole requirement — each RMW lands in either this
+    // fold or the next, never both.
     const std::uint64_t count = src.count.exchange(
         0, std::memory_order_relaxed);  // relaxed: see above
     const std::uint64_t sum =
@@ -92,7 +88,8 @@ void Profiler::fold_and_reset(Epoch& epoch) {
         ~std::uint64_t{0}, std::memory_order_relaxed);  // relaxed: see above
     const std::uint64_t mx =
         src.max.exchange(0, std::memory_order_relaxed);  // relaxed: see above
-    if (count == 0) continue;
+    // No early exit on count == 0: a sample whose count RMW missed this
+    // fold may still have landed its sum, min or max in it.
     dst.count += count;
     dst.sum += static_cast<double>(sum);
     dst.min = std::min(dst.min, mn);
@@ -107,14 +104,7 @@ void Profiler::fold_and_reset(Epoch& epoch) {
 
 ProfilerSnapshot Profiler::snapshot() {
   MutexLock lock(reader_mu_);
-  // Flip, then fold the buffer writers just vacated.  Writers mid-record
-  // against the old index finish into the buffer we are folding — their
-  // relaxed RMWs and our relaxed exchanges interleave atomically, so every
-  // sample lands in exactly one fold.
-  // relaxed: the flip needs no release — no writer reads anything the
-  // reader wrote; readers serialize among themselves on reader_mu_.
-  const std::uint32_t retired = live_.fetch_add(1, std::memory_order_relaxed);
-  fold_and_reset(epochs_[retired & 1U]);
+  fold_and_reset();
 
   ProfilerSnapshot out;
   for (std::size_t s = 0; s < kProfileStages; ++s) {

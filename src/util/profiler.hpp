@@ -1,16 +1,16 @@
 // Always-on serving profiler: atomic per-stage counters (count/avg/min/max)
-// plus a log₂ latency histogram per stage, double-buffered in epochs so
-// readers never block writers.
+// plus a log₂ latency histogram per stage, in one buffer that readers
+// drain without ever blocking writers.
 //
 // The discipline is that of a real-time engine's profiler: recording a
-// sample is a handful of relaxed atomic RMWs into the live epoch buffer —
-// no locks, no allocation, cheap enough to leave on in production.  A
-// reader (stats export, bench report) flips the epoch, folds the retired
-// buffer into a cumulative snapshot under its own mutex, and zeroes it for
-// reuse.  A writer that straddles the flip lands its sample in whichever
-// buffer its epoch read selected; the sample is never lost and never torn,
-// it is merely attributed to the neighboring epoch — the standard (and
-// harmless) slack of epoch-buffered telemetry.
+// sample is a handful of relaxed atomic RMWs into the live buffer — no
+// locks, no allocation, cheap enough to leave on in production.  A reader
+// (stats export, bench report) folds the buffer into a cumulative snapshot
+// under its own mutex, draining it cell by cell with atomic exchanges.
+// Each of a writer's RMWs lands either before or after its cell's
+// exchange, so this snapshot or the next one counts it: a sample is never
+// lost.  A sample recorded during a fold may have its count in one
+// snapshot and its sum in the next — harmless slack for telemetry.
 //
 // Stages are a fixed enum: the audit path records wall time for resolve /
 // inspect / whole-request / queue-wait, and instantaneous values (queue
@@ -78,13 +78,12 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  /// Record one sample (relaxed atomics into the live epoch buffer).
+  /// Record one sample (relaxed atomics into the live buffer).
   void record(ProfileStage stage, std::uint64_t value);
 
-  /// Cumulative statistics since construction: flips the epoch, folds the
-  /// retired buffer into the running totals, and returns them.  Readers
-  /// serialize among themselves on an internal mutex; writers never touch
-  /// it.
+  /// Cumulative statistics since construction: drains the live buffer
+  /// into the running totals and returns them.  Readers serialize among
+  /// themselves on an internal mutex; writers never touch it.
   ProfilerSnapshot snapshot();
 
  private:
@@ -98,18 +97,13 @@ class Profiler {
     std::array<std::atomic<std::uint64_t>, kBuckets> histogram{};
   };
 
-  struct Epoch {
-    std::array<StageCounters, kProfileStages> stages;
-  };
+  /// Drain stages_ into cumulative_, leaving every cell at its identity.
+  void fold_and_reset() BPROM_REQUIRES(reader_mu_);
 
-  /// Fold `epoch` into cumulative_ and zero it for reuse.
-  void fold_and_reset(Epoch& epoch) BPROM_REQUIRES(reader_mu_);
-
-  /// Writers select an epoch through live_ and land relaxed RMWs in it;
-  /// epochs_ is deliberately NOT guarded by reader_mu_ — the per-cell
-  /// atomics are the synchronization, the mutex only serializes readers.
-  Epoch epochs_[2];
-  std::atomic<std::uint32_t> live_{0};
+  /// Writers land relaxed RMWs here; deliberately NOT guarded by
+  /// reader_mu_ — the per-cell atomics are the synchronization, the mutex
+  /// only serializes readers.
+  std::array<StageCounters, kProfileStages> stages_;
 
   Mutex reader_mu_;
   struct CumulativeStage {

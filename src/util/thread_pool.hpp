@@ -65,9 +65,7 @@ ThreadPool& global_pool();
 
 /// The pool parallel_for uses when no explicit pool is passed: the pool
 /// installed by the innermost live ScopedPoolOverride, or the global pool
-/// when none is installed.  Code that only needs a parallelism estimate
-/// (e.g. how many model replicas to clone) should size off
-/// default_pool().size().
+/// when none is installed.
 ThreadPool& default_pool();
 
 /// Reroute parallel_for's implicit pool for the lifetime of this object.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
 
 #include "data/ops.hpp"
 #include "opt/spsa.hpp"
@@ -26,13 +25,11 @@ BlackBoxPromptResult learn_prompt_blackbox(
       rng.sample_without_replacement(target_train.size(), n_eval));
 
   const std::size_t k = model.num_classes();
-  const std::size_t query_base = model.query_count();
 
-  const auto loss_on = [&](const nn::BlackBoxModel& box,
-                           const std::vector<double>& theta) -> double {
+  const auto loss_on = [&](const std::vector<double>& theta) -> double {
     VisualPrompt candidate(model.input_shape(), PromptMode::kAdditiveCoarse);
     candidate.set_theta(theta);
-    Tensor probs = box.predict_proba(candidate.apply(eval_set.images));
+    Tensor probs = model.predict_proba(candidate.apply(eval_set.images));
     double loss = 0.0;
     for (std::size_t i = 0; i < n_eval; ++i) {
       const auto label = static_cast<std::size_t>(eval_set.labels[i]);
@@ -43,47 +40,14 @@ BlackBoxPromptResult learn_prompt_blackbox(
     return loss / static_cast<double>(n_eval);
   };
 
-  // Candidate evaluation fans out over model replicas when the black box
-  // supports replicate() and more than one worker is available.  Each
-  // candidate's fitness depends only on theta (replicas are exact deep
-  // copies and the eval subsample is fixed), and every evaluation costs
-  // exactly one batch of n_eval queries no matter which replica serves it,
-  // so neither fitness values nor query totals depend on the thread count
-  // or the replica count.
-  std::vector<std::unique_ptr<nn::BlackBoxModel>> replicas;
-  const auto make_replicas = [&](std::size_t generation_size) {
-    const std::size_t want =
-        std::min(generation_size, util::default_pool().size());
-    if (want < 2) return;
-    replicas.reserve(want);
-    for (std::size_t r = 0; r < want; ++r) {
-      auto replica = model.replicate();
-      if (!replica) {
-        replicas.clear();
-        return;
-      }
-      replicas.push_back(std::move(replica));
-    }
-  };
-
+  // A generation's candidates are queried concurrently on `model`.  Each
+  // fitness depends only on theta (the eval subsample is fixed), so the
+  // values do not depend on the thread count.
   const auto eval_batch =
       [&](const std::vector<std::vector<double>>& thetas) {
         std::vector<double> fitness(thetas.size());
-        if (replicas.empty() || thetas.size() < 2) {
-          const nn::BlackBoxModel& box =
-              replicas.empty() ? model : *replicas[0];
-          for (std::size_t i = 0; i < thetas.size(); ++i) {
-            fitness[i] = loss_on(box, thetas[i]);
-          }
-          return fitness;
-        }
-        const std::size_t shards = std::min(thetas.size(), replicas.size());
-        util::parallel_for(shards, [&](std::size_t s) {
-          const std::size_t lo = s * thetas.size() / shards;
-          const std::size_t hi = (s + 1) * thetas.size() / shards;
-          for (std::size_t i = lo; i < hi; ++i) {
-            fitness[i] = loss_on(*replicas[s], thetas[i]);
-          }
+        util::parallel_for(thetas.size(), [&](std::size_t i) {
+          fitness[i] = loss_on(thetas[i]);
         });
         return fitness;
       };
@@ -101,7 +65,6 @@ BlackBoxPromptResult learn_prompt_blackbox(
     cma.max_evaluations = config.max_evaluations;
     cma.seed = config.seed ^ 0xB1ACBB0FULL;
     opt::CmaEs solver(cma, std::vector<double>(cma.dim, 0.0));
-    make_replicas(solver.lambda());
     auto result = solver.optimize(opt::CmaEs::BatchObjective(eval_batch));
     best_x = std::move(result.best_x);
     best_f = result.best_f;
@@ -110,7 +73,6 @@ BlackBoxPromptResult learn_prompt_blackbox(
     opt::SpsaConfig spsa;
     spsa.max_evaluations = config.max_evaluations;
     spsa.seed = config.seed ^ 0xB1ACBB0FULL;
-    make_replicas(2);  // SPSA evaluates {x+, x-} pairs
     auto result =
         opt::spsa_minimize(spsa, std::vector<double>(prompt.num_params(), 0.0),
                            opt::SpsaBatchObjective(eval_batch));
@@ -119,14 +81,9 @@ BlackBoxPromptResult learn_prompt_blackbox(
     evaluations = result.evaluations;
   }
 
-  std::size_t replica_queries = 0;
-  for (const auto& replica : replicas) {
-    replica_queries += replica->query_count();
-  }
-
   prompt.set_theta(best_x);
-  BlackBoxPromptResult out{std::move(prompt), best_f,
-                           (model.query_count() - query_base) + replica_queries,
+  // Every evaluation is one query batch of n_eval images.
+  BlackBoxPromptResult out{std::move(prompt), best_f, evaluations * n_eval,
                            /*budget_exhausted=*/evaluations == 0};
   return out;
 }

@@ -32,10 +32,9 @@ struct BlackBoxPromptConfig {
 struct BlackBoxPromptResult {
   VisualPrompt prompt;
   double final_loss = 0.0;
-  /// Exact total queries issued while learning — those served by `model`
-  /// itself plus those served by internal replicate() copies when candidate
-  /// evaluation fans out over threads (which never reach `model`'s
-  /// counter).
+  /// Exact total queries issued while learning: evaluations × the eval
+  /// subsample size, since each evaluation is one query batch.  All of
+  /// them reach `model`.
   std::size_t queries = 0;
   /// True when `max_evaluations` could not cover a single optimizer
   /// evaluation: `prompt` is then the unoptimized zero prompt.  Callers that
@@ -45,7 +44,8 @@ struct BlackBoxPromptResult {
 };
 
 /// Learn theta with CMA-ES; the objective is the cross-entropy of the
-/// prompted confidence vectors on a fixed target subsample.
+/// prompted confidence vectors on a fixed target subsample.  A generation's
+/// candidates query `model` concurrently.
 BlackBoxPromptResult learn_prompt_blackbox(
     const nn::BlackBoxModel& model, const nn::LabeledData& target_train,
     const BlackBoxPromptConfig& config);

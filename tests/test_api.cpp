@@ -403,9 +403,8 @@ TEST(ApiEngine, RolloverWhileAuditingFinishesOnOldVersion) {
             "aud@v2");
 }
 
-/// Queries at a crawl so a deadline reliably expires mid-inspection.  No
-/// replicate(): the ensemble runs serially, making "between members" a real
-/// boundary on any pool size.
+/// Queries at a crawl so a deadline reliably expires mid-inspection, inside
+/// the first optimizer run of every ensemble member on any pool size.
 class SlowBox final : public nn::BlackBoxModel {
  public:
   explicit SlowBox(nn::Model& model) : inner_(model) {}
@@ -453,16 +452,28 @@ TEST(ApiEngine, DeadlineExceededMidAuditReportsExactSpend) {
 }
 
 TEST(ApiEngine, DeadlineAlreadyExpiredFailsBeforeAnyQuery) {
-  api::AuditEngine engine({.store_dir = fresh_dir("bprom_api_predl")});
+  api::AuditEngine engine(
+      {.store_dir = fresh_dir("bprom_api_predl"), .async_workers = 1});
   ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
+  // audit() anchors its clock at entry; force the pre-start path through
+  // the async surface, whose clock anchors at submission.  A gated audit
+  // holds the one serving worker, so the 1ms request waits in the ring for
+  // at least the 10ms sleep and its deadline has expired when its turn
+  // comes.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  GatedBox gated(*fixture().suspicious.model, started, release);
+  auto blocker = engine.audit_async({request_for("aud", &gated)});
+  while (!started.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   nn::BlackBoxAdapter box(*fixture().suspicious.model);
   auto request = request_for("aud", &box);
   request.deadline_ms = 1;
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  // audit() anchors its clock at entry; force the pre-start path by an
-  // already-hopeless deadline through the async surface, whose clock
-  // anchors at submission.
   auto future = engine.audit_async({request});
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  release.store(true);
+  ASSERT_TRUE(blocker.get()[0].status.ok());
   const auto responses = future.get();
   ASSERT_EQ(responses.size(), 1U);
   EXPECT_EQ(responses[0].status.code(), api::StatusCode::kDeadlineExceeded);

@@ -177,9 +177,10 @@ TEST(ParallelDeterminism, TrainedWeightsMatchAcrossThreadCounts) {
   }
 }
 
-// Black-box prompt learning fans CMA-ES generations (and SPSA pairs) out
-// over model replicas: theta, loss, and the exact query count must not
-// depend on the thread count.
+// Black-box prompt learning queries a CMA-ES generation's candidates (and
+// SPSA's pairs) concurrently on the one box: theta, loss, and the exact
+// query count must not depend on the thread count, and every query must
+// reach the caller's box.
 TEST(ParallelDeterminism, BlackBoxPromptMatchesAcrossThreadCounts) {
   auto src = data::make_dataset(data::DatasetKind::kCifar10, 22, 300, 100);
   auto tgt = data::make_dataset(data::DatasetKind::kStl10, 23, 200, 100);
@@ -200,6 +201,8 @@ TEST(ParallelDeterminism, BlackBoxPromptMatchesAcrossThreadCounts) {
       cfg.max_evaluations = 60;
       cfg.seed = 5;
       results.push_back(vp::learn_prompt_blackbox(box, tgt.train, cfg));
+      EXPECT_EQ(box.query_count(), results.back().queries)
+          << threads << " threads";
     }
     for (std::size_t t = 1; t < results.size(); ++t) {
       EXPECT_EQ(results[0].prompt.theta(), results[t].prompt.theta())

