@@ -1,11 +1,14 @@
 // GEMM kernel microbenchmark: blocked kernel vs the naive single-thread
 // reference across the shapes the framework's nets actually run, plus the
-// large square shapes the ISSUE acceptance gate tracks.  Emits
-// BENCH_gemm.json via BenchReport:
-//   <shape>/naive        seconds, scalar reference, 1 thread
-//   <shape>/blocked_1t   seconds, blocked kernel under a 1-thread pool
-//   <shape>/blocked      seconds, blocked kernel on the default pool
-//   <shape>/speedup_1t   naive / blocked_1t ratio (dimensionless)
+// large square shapes of the >= 2x single-thread gate, and every tile
+// variant this host can run timed single-threaded on each shape.  Emits
+// BENCH_gemm.json via BenchReport, with the chosen tile under
+// labels.gemm_tile:
+//   <shape>/naive          seconds, scalar reference, 1 thread
+//   <shape>/blocked_1t     seconds, blocked kernel under a 1-thread pool
+//   <shape>/blocked        seconds, blocked kernel on the default pool
+//   <shape>/speedup_1t     naive / blocked_1t ratio (dimensionless)
+//   <shape>/<variant>_1t   seconds, that tile variant under a 1-thread pool
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
@@ -15,6 +18,7 @@
 
 #include "common.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_variant.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -29,11 +33,18 @@ struct Shape {
   Trans ta, tb;
 };
 
-// The first rows are the framework's hot shapes: Linear forward (x . W^T),
-// Linear dW (G^T . X), Conv2d forward over the patch-major im2col matrix
-// (W . cols), attention scores (Q . K^T).  The "large*" rows are the
+// The first rows are the framework's hot shapes: the per-sample Conv2d
+// forward GEMMs (W . cols over the patch-major im2col matrix) of the
+// 16 x 16 nets, Linear forward (x . W^T), Linear dW (G^T . X), a wider
+// Conv2d forward, attention scores (Q . K^T).  The "large*" rows are the
 // acceptance-gate shapes.
 const Shape kShapes[] = {
+    // The ResNet18Mini stem (3 -> 4 channels, 3 x 3, 16 x 16 output).
+    {"conv_4x256x27", 4, 256, 27, Trans::kNo, Trans::kNo},
+    {"conv_8x64x72", 8, 64, 72, Trans::kNo, Trans::kNo},
+    {"conv_16x16x144", 16, 16, 144, Trans::kNo, Trans::kNo},
+    // The MobileNetV2Mini stem (3 -> 8 channels).
+    {"conv_8x256x27", 8, 256, 27, Trans::kNo, Trans::kNo},
     {"linear_fwd_b128", 128, 256, 192, Trans::kNo, Trans::kYes},
     {"linear_dw_b128", 256, 192, 128, Trans::kYes, Trans::kNo},
     {"conv_fwd_c64", 64, 256, 288, Trans::kNo, Trans::kNo},
@@ -53,6 +64,10 @@ double time_reps(std::size_t reps, const std::function<void()>& body) {
 int main() {
   bench::BenchReport report("gemm");
   bprom::util::ThreadPool one(1);
+  const auto& chosen = bprom::tensor::detail::gemm_variant();
+  std::printf("gemm tile: %s (NR = %zu floats / %zu doubles)\n", chosen.name,
+              chosen.nr_f32, chosen.nr_f64);
+  report.add_label("gemm_tile", chosen.name);
 
   std::printf("%-18s %10s %12s %12s %9s %9s\n", "shape", "naive_ms",
               "blocked1t_ms", "blocked_ms", "x1t", "xpool");
@@ -98,6 +113,18 @@ int main() {
     report.add_cell(prefix + "blocked_1t", blocked_1t);
     report.add_cell(prefix + "blocked", blocked);
     report.add_cell(prefix + "speedup_1t", x1t);
+    for (const auto& variant : bprom::tensor::detail::gemm_variants()) {
+      if (!variant.supported) continue;
+      bprom::util::ScopedPoolOverride serial(one);
+      const double seconds = time_reps(reps, [&] {
+        bprom::tensor::detail::gemm_with(variant, s.ta, s.tb, s.m, s.n, s.k,
+                                         a.data(), lda, b.data(), ldb,
+                                         c.data(), s.n, false);
+      });
+      std::printf("  %-16s %12.4f ms\n",
+                  (std::string(variant.name) + "_1t").c_str(), seconds * 1e3);
+      report.add_cell(prefix + variant.name + "_1t", seconds);
+    }
     if (std::string(s.id).rfind("large", 0) == 0 && x1t < 2.0) {
       large_ok = false;
     }

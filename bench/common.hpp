@@ -195,6 +195,12 @@ class BenchReport {
     }
   }
 
+  /// A string fact about the run, written under "labels" (e.g. which GEMM
+  /// tile the host chose).
+  void add_label(std::string key, std::string value) {
+    labels_.emplace_back(std::move(key), std::move(value));
+  }
+
   /// Best-effort by design: a read-only working directory must not turn a
   /// finished bench run into a failure.
   void write() const {
@@ -209,8 +215,16 @@ class BenchReport {
     }
     out << "{\n  \"bench\": \"" << escape(id_) << "\",\n"
         << "  \"threads\": " << util::default_pool().size() << ",\n"
-        << "  \"wall_seconds\": " << wall_.seconds() << ",\n"
-        << "  \"cells\": [";
+        << "  \"wall_seconds\": " << wall_.seconds() << ",\n";
+    if (!labels_.empty()) {
+      out << "  \"labels\": {";
+      for (std::size_t i = 0; i < labels_.size(); ++i) {
+        out << (i == 0 ? "" : ", ") << "\"" << escape(labels_[i].first)
+            << "\": \"" << escape(labels_[i].second) << "\"";
+      }
+      out << "},\n";
+    }
+    out << "  \"cells\": [";
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       out << (i == 0 ? "" : ",") << "\n    {\"id\": \""
           << escape(cells_[i].first) << "\", \"seconds\": "
@@ -233,6 +247,7 @@ class BenchReport {
   std::string id_;
   util::Stopwatch wall_;
   std::vector<std::pair<std::string, double>> cells_;
+  std::vector<std::pair<std::string, std::string>> labels_;
 };
 
 }  // namespace bench

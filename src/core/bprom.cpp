@@ -10,6 +10,13 @@
 #include "util/log.hpp"
 
 namespace bprom::core {
+namespace {
+
+nn::ImageShape image_shape(const nn::LabeledData& set) {
+  return {set.images.dim(1), set.images.dim(2), set.images.dim(3)};
+}
+
+}  // namespace
 
 BpromDetector::BpromDetector(BpromConfig config)
     : config_(std::move(config)), forest_(config_.forest) {}
@@ -158,6 +165,15 @@ void BpromDetector::fit(const nn::LabeledData& reserved_clean,
         std::to_string(source_classes) +
         " (the output mapping needs K_T <= K_S)");
   }
+  const nn::ImageShape shape = image_shape(reserved_clean);
+  for (const nn::LabeledData* set : {&target_train, &target_test}) {
+    const nn::ImageShape dt = image_shape(*set);
+    if (!vp::VisualPrompt::can_embed(shape, dt)) {
+      throw std::invalid_argument(
+          "a " + vp::shape_string(shape) + " source canvas cannot hold " +
+          vp::shape_string(dt) + " D_T images");
+    }
+  }
   source_classes_ = source_classes;
   target_classes_ = target_classes;
   target_train_ = target_train;
@@ -165,9 +181,6 @@ void BpromDetector::fit(const nn::LabeledData& reserved_clean,
   diag_ = FitDiagnostics{};
 
   util::Rng rng(config_.seed);
-  const nn::ImageShape shape{reserved_clean.images.dim(1),
-                             reserved_clean.images.dim(2),
-                             reserved_clean.images.dim(3)};
 
   // D_Q: fixed random query samples from D_T^test.
   const std::size_t q = std::min(config_.query_samples, target_test.size());
@@ -269,6 +282,19 @@ api::Status BpromDetector::inspectable(const nn::BlackBoxModel* model) const {
         "model reports " + std::to_string(model->num_classes()) +
         " classes but the detector was fitted for " +
         std::to_string(source_classes_));
+  }
+  // The prompt canvas is the model's input; it must hold D_T's images.
+  const nn::ImageShape canvas = model->input_shape();
+  for (const nn::LabeledData* set : {&target_train_, &target_test_}) {
+    const nn::ImageShape dt = image_shape(*set);
+    if (!vp::VisualPrompt::can_embed(canvas, dt)) {
+      return api::Status::InvalidRequest(
+          "model input " + vp::shape_string(canvas) +
+          " cannot hold the detector's " + vp::shape_string(dt) +
+          " D_T images: the prompt canvas needs the same channel count and "
+          "an inner half (H/2 x W/2) equal to D_T's H x W or its 2x "
+          "downscale");
+    }
   }
   return api::Status::Ok();
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "tensor/gemm_tile.hpp"
+#include "tensor/gemm_variant.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -14,96 +16,43 @@ namespace {
 // same per-tile arithmetic), so this is a pure scheduling choice.
 constexpr std::size_t kParallelMulAdds = std::size_t{1} << 21;
 
-template <typename T>
-constexpr std::size_t nr_of() {
-  return sizeof(T) == sizeof(float) ? kGemmNrF32 : kGemmNrF64;
+// The portable baseline tile, compiled for the target's baseline ISA (on
+// x86-64, SSE2: two vectors per accumulator row).
+void gemm_tile_baseline(const detail::GemmTileArgs<float>& args) {
+  detail::gemm_tile<float, detail::kBaselineNrF32>(args);
+}
+void gemm_tile_baseline(const detail::GemmTileArgs<double>& args) {
+  detail::gemm_tile<double, detail::kBaselineNrF64>(args);
+}
+
+bool host_has_avx2() {
+#if defined(__x86_64__)
+  // Explicit init: the first gemm may run from a static constructor, before
+  // libgcc's own CPU-model constructor.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
 }
 
 template <typename T>
-T load(Trans t, const T* p, std::size_t ld, std::size_t row,
-       std::size_t col) {
-  return t == Trans::kNo ? p[row * ld + col] : p[col * ld + row];
-}
-
-/// Pack op_a(A)[i0 .. i0+mc, p0 .. p0+kc] as ceil(mc/MR) strips of
-/// [kc][MR], rows beyond mc padded with zeros so the micro-kernel always
-/// runs a full MR x NR tile (the pad contributes exact +0 terms to lanes
-/// that are never stored).
-template <typename T>
-void pack_a(Trans ta, const T* a, std::size_t lda, std::size_t i0,
-            std::size_t p0, std::size_t mc, std::size_t kc, T* out) {
-  constexpr std::size_t kMr = kGemmMr;
-  for (std::size_t ir = 0; ir < mc; ir += kMr) {
-    const std::size_t mr = std::min(kMr, mc - ir);
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t r = 0; r < kMr; ++r) {
-        *out++ = r < mr ? load(ta, a, lda, i0 + ir + r, p0 + p) : T(0);
-      }
-    }
-  }
-}
-
-/// Pack op_b(B)[p0 .. p0+kc, j0 .. j0+nc] as ceil(nc/NR) strips of
-/// [kc][NR], columns beyond nc padded with zeros.
-template <typename T>
-void pack_b(Trans tb, const T* b, std::size_t ldb, std::size_t p0,
-            std::size_t j0, std::size_t kc, std::size_t nc, T* out) {
-  constexpr std::size_t kNr = nr_of<T>();
-  for (std::size_t jr = 0; jr < nc; jr += kNr) {
-    const std::size_t nr = std::min(kNr, nc - jr);
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t c = 0; c < kNr; ++c) {
-        *out++ = c < nr ? load(tb, b, ldb, p0 + p, j0 + jr + c) : T(0);
-      }
-    }
-  }
-}
-
-/// MR x NR register tile over one packed A strip ([kc][MR]) and one packed
-/// B strip ([kc][NR]).  The fixed-width accumulator array has independent
-/// lanes, so -O2/-O3 auto-vectorizes the NR loop without -ffast-math.
-/// Folds into C (callers zero the tile first when not accumulating).
-template <typename T>
-void micro_kernel(const T* __restrict pa, const T* __restrict pb,
-                  std::size_t kc, T* __restrict c, std::size_t ldc,
-                  std::size_t mr, std::size_t nr) {
-  constexpr std::size_t kMr = kGemmMr;
-  constexpr std::size_t kNr = nr_of<T>();
-  // Full unrolling turns acc[][] into distinct scalars the register
-  // allocator can keep in SIMD registers; without it the accumulators
-  // round-trip through the stack every k step.
-  T acc[kMr][kNr] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const T* __restrict ap = pa + p * kMr;
-    const T* __restrict bp = pb + p * kNr;
-#pragma GCC unroll 6
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const T av = ap[r];
-#pragma GCC unroll 32
-      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += av * bp[j];
-    }
-  }
-  if (mr == kMr && nr == kNr) {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      T* __restrict cr = c + r * ldc;
-      for (std::size_t j = 0; j < kNr; ++j) cr[j] += acc[r][j];
-    }
+detail::GemmTileFn<T> tile_of(const detail::GemmVariant& variant) {
+  if constexpr (sizeof(T) == sizeof(float)) {
+    return variant.tile_f32;
   } else {
-    for (std::size_t r = 0; r < mr; ++r) {
-      T* cr = c + r * ldc;
-      for (std::size_t j = 0; j < nr; ++j) cr[j] += acc[r][j];
-    }
+    return variant.tile_f64;
   }
 }
 
 template <typename T>
-void gemm_impl(Trans ta, Trans tb, std::size_t m, std::size_t n,
-               std::size_t k, const T* a, std::size_t lda, const T* b,
-               std::size_t ldb, T* c, std::size_t ldc, bool accumulate,
-               bool allow_parallel) {
+void gemm_impl(const detail::GemmVariant& variant, Trans ta, Trans tb,
+               std::size_t m, std::size_t n, std::size_t k, const T* a,
+               std::size_t lda, const T* b, std::size_t ldb, T* c,
+               std::size_t ldc, bool accumulate, bool allow_parallel) {
   if (m == 0 || n == 0) return;
   constexpr std::size_t kMr = kGemmMr;
-  constexpr std::size_t kNr = nr_of<T>();
+  const detail::GemmTileFn<T> tile = tile_of<T>(variant);
   const std::size_t col_tiles = (n + kGemmNc - 1) / kGemmNc;
 
   // Row grain: MC normally, but when a parallel-eligible problem is too
@@ -138,21 +87,23 @@ void gemm_impl(Trans ta, Trans tb, std::size_t m, std::size_t n,
     }
     if (k == 0) return;
     util::Scratch& scratch = util::Scratch::tls();
-    T* pa = scratch.buffer<T>(util::Scratch::kGemmPackA, kGemmMc * kGemmKc);
-    T* pb = scratch.buffer<T>(util::Scratch::kGemmPackB, kGemmKc * kGemmNc);
-    for (std::size_t p0 = 0; p0 < k; p0 += kGemmKc) {
-      const std::size_t kc = std::min(kGemmKc, k - p0);
-      pack_a(ta, a, lda, i0, p0, mc, kc, pa);
-      pack_b(tb, b, ldb, p0, j0, kc, nc, pb);
-      for (std::size_t jr = 0; jr < nc; jr += kNr) {
-        const std::size_t nr = std::min(kNr, nc - jr);
-        for (std::size_t ir = 0; ir < mc; ir += kMr) {
-          micro_kernel(pa + (ir / kMr) * kc * kMr, pb + (jr / kNr) * kc * kNr,
-                       kc, c + (i0 + ir) * ldc + j0 + jr, ldc,
-                       std::min(kMr, mc - ir), nr);
-        }
-      }
-    }
+    tile({.ta = ta,
+          .tb = tb,
+          .k = k,
+          .a = a,
+          .lda = lda,
+          .b = b,
+          .ldb = ldb,
+          .c = c,
+          .ldc = ldc,
+          .i0 = i0,
+          .j0 = j0,
+          .mc = mc,
+          .nc = nc,
+          .pack_a = scratch.buffer<T>(util::Scratch::kGemmPackA,
+                                      kGemmMc * kGemmKc),
+          .pack_b = scratch.buffer<T>(util::Scratch::kGemmPackB,
+                                      kGemmKc * kGemmNc)});
   };
 
   const std::size_t tiles = row_tiles * col_tiles;
@@ -178,7 +129,8 @@ void gemm_reference_impl(Trans ta, Trans tb, std::size_t m, std::size_t n,
         const std::size_t hi = std::min(p0 + kGemmKc, k);
         T acc(0);
         for (std::size_t p = p0; p < hi; ++p) {
-          acc += load(ta, a, lda, i, p) * load(tb, b, ldb, p, j);
+          acc += detail::load(ta, a, lda, i, p) *
+                 detail::load(tb, b, ldb, p, j);
         }
         out += acc;
       }
@@ -188,18 +140,62 @@ void gemm_reference_impl(Trans ta, Trans tb, std::size_t m, std::size_t n,
 
 }  // namespace
 
+namespace detail {
+
+std::span<const GemmVariant> gemm_variants() {
+  static const GemmVariant kVariants[] = {
+      {"baseline", kBaselineNrF32, kBaselineNrF64, true, gemm_tile_baseline,
+       gemm_tile_baseline},
+#if defined(__x86_64__)
+      {"avx2", kAvx2NrF32, kAvx2NrF64, host_has_avx2(), gemm_tile_avx2,
+       gemm_tile_avx2},
+#endif
+  };
+  return kVariants;
+}
+
+const GemmVariant& gemm_variant() {
+  static const GemmVariant& chosen = []() -> const GemmVariant& {
+    const std::span<const GemmVariant> all = gemm_variants();
+    const GemmVariant* pick = &all.front();
+    for (const GemmVariant& v : all) {
+      if (v.supported) pick = &v;
+    }
+    return *pick;
+  }();
+  return chosen;
+}
+
+void gemm_with(const GemmVariant& variant, Trans ta, Trans tb, std::size_t m,
+               std::size_t n, std::size_t k, const float* a, std::size_t lda,
+               const float* b, std::size_t ldb, float* c, std::size_t ldc,
+               bool accumulate, bool allow_parallel) {
+  gemm_impl(variant, ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate,
+            allow_parallel);
+}
+
+void gemm_with(const GemmVariant& variant, Trans ta, Trans tb, std::size_t m,
+               std::size_t n, std::size_t k, const double* a,
+               std::size_t lda, const double* b, std::size_t ldb, double* c,
+               std::size_t ldc, bool accumulate, bool allow_parallel) {
+  gemm_impl(variant, ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate,
+            allow_parallel);
+}
+
+}  // namespace detail
+
 void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
           const float* a, std::size_t lda, const float* b, std::size_t ldb,
           float* c, std::size_t ldc, bool accumulate, bool allow_parallel) {
-  gemm_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate,
-            allow_parallel);
+  gemm_impl(detail::gemm_variant(), ta, tb, m, n, k, a, lda, b, ldb, c, ldc,
+            accumulate, allow_parallel);
 }
 
 void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
           const double* a, std::size_t lda, const double* b, std::size_t ldb,
           double* c, std::size_t ldc, bool accumulate, bool allow_parallel) {
-  gemm_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate,
-            allow_parallel);
+  gemm_impl(detail::gemm_variant(), ta, tb, m, n, k, a, lda, b, ldb, c, ldc,
+            accumulate, allow_parallel);
 }
 
 void gemm_reference(Trans ta, Trans tb, std::size_t m, std::size_t n,

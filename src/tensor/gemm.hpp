@@ -8,26 +8,34 @@
 //     in kGemmKc panels, packing the A panel as [kc][MR] strips and the
 //     B panel as [kc][NR] strips into the per-thread util::Scratch arena so
 //     the micro-kernel streams contiguous, zero-padded memory.
-//   - The micro-kernel keeps an MR x NR accumulator array (6 x 16 floats /
-//     6 x 8 doubles) in registers; the NR lanes are independent, so the
-//     compiler is free to vectorize them into SIMD lanes without any
-//     reassociation license.  Products and sums stay separate roundings:
-//     the build passes -ffp-contract=off, so no ISA fuses them into FMAs
-//     and the kernel rounds exactly like gemm_reference.
+//   - The micro-kernel keeps an MR x NR accumulator array in registers; the
+//     NR lanes are independent, so the compiler is free to vectorize them
+//     into SIMD lanes without any reassociation license.  Products and sums
+//     stay separate roundings: the build passes -ffp-contract=off, so no
+//     ISA fuses them into FMAs and the kernel rounds exactly like
+//     gemm_reference.
+//   - The tile is compiled twice: a portable baseline (NR = 8 floats /
+//     4 doubles) and an AVX2 variant (NR = 16 / 8) built with -mavx2 in its
+//     own translation unit.  gemm() picks the AVX2 tile once, at first use,
+//     when CPUID reports AVX2.  NR only sets how many independent lanes a
+//     tile holds — every element still sums its products in ascending k
+//     within each KC panel — so both tiles give the same bits.
 //   - Parallelism is over the macro-tile grid via util::parallel_for.  The
 //     grid depends only on the problem shape and compile-time constants —
-//     never on the thread count (skinny-N problems get a finer row grain so
-//     the grid still feeds a pool, but the grain is a pure function of the
-//     shape) — and every tile is computed start-to-finish by one task, so
-//     results are bit-identical for any BPROM_THREADS.  The tile partition
-//     never changes any element's summation order, only which task owns it.
+//     never on the thread count or the tile variant (skinny-N problems get
+//     a finer row grain so the grid still feeds a pool, but the grain is a
+//     pure function of the shape) — and every tile is computed
+//     start-to-finish by one task, so results are bit-identical for any
+//     BPROM_THREADS.  The tile partition never changes any element's
+//     summation order, only which task owns it.
 //
 // Determinism contract: for a fixed problem (shape + transposes +
 // accumulate), every element of C is produced by the same floating-point
-// addition sequence regardless of pool size.  The sequence is: per KC block
-// in ascending order, a register accumulator sums the block's products in
-// ascending k, then folds into C.  gemm_reference replicates exactly that
-// grouping, so kernel-vs-reference comparisons are bitwise for k <= kGemmKc.
+// addition sequence regardless of pool size and tile variant.  The sequence
+// is: per KC block in ascending order, a register accumulator sums the
+// block's products in ascending k, then folds into C.  gemm_reference
+// replicates exactly that grouping, so kernel-vs-reference comparisons are
+// bitwise for any k.
 #pragma once
 
 #include <cstddef>
@@ -38,23 +46,12 @@ namespace bprom::tensor {
 /// always the *storage* row strides (elements per stored row).
 enum class Trans { kNo, kYes };
 
-// Blocking constants, exposed so tests can probe edge-tile shapes.  The
-// register tile is sized to the compile-time SIMD width: the 6 x NR
-// accumulator block must fit the architectural register file (6 rows x 2
-// vectors), so NR doubles when the build enables AVX2/AVX-512.  These are
-// compile-time constants — runtime thread count never changes the tile
-// grid, so the determinism contract is unaffected.
-inline constexpr std::size_t kGemmMr = 6;  // micro-tile rows
-#if defined(__AVX512F__)
-inline constexpr std::size_t kGemmNrF32 = 32;  // micro-tile cols (float)
-inline constexpr std::size_t kGemmNrF64 = 16;  // micro-tile cols (double)
-#elif defined(__AVX__)
-inline constexpr std::size_t kGemmNrF32 = 16;
-inline constexpr std::size_t kGemmNrF64 = 8;
-#else
-inline constexpr std::size_t kGemmNrF32 = 8;  // SSE2 baseline: 2 x 4 lanes
-inline constexpr std::size_t kGemmNrF64 = 4;
-#endif
+// Blocking constants, exposed so tests can probe edge-tile shapes.  They
+// are compile-time constants shared by every tile variant — runtime thread
+// count and CPU never change the tile grid, so the determinism contract is
+// unaffected.  The register tile's width NR is a per-variant constant
+// (tensor/gemm_variant.hpp).
+inline constexpr std::size_t kGemmMr = 6;    // micro-tile rows
 inline constexpr std::size_t kGemmMc = 96;   // macro-tile rows
 inline constexpr std::size_t kGemmKc = 256;  // K panel depth
 inline constexpr std::size_t kGemmNc = 512;  // macro-tile cols

@@ -7,24 +7,38 @@ namespace bprom::util {
 
 namespace {
 
-/// Bucket index: position of the highest set bit, so bucket b spans
-/// [2^(b-1), 2^b) and bucket 0 holds exact zeros.  Clamped to the last
-/// bucket: bit_width of a value with bit 63 set is 64, one past the
-/// 64-entry histogram — record() accepts arbitrary magnitudes, so
-/// the top bucket absorbs [2^62, 2^64) instead of indexing out of bounds.
+/// Log-linear buckets: values below kSub are exact (bucket = value); above,
+/// each power of two [2^e, 2^(e+1)) splits into kSub equal sub-buckets
+/// keyed by the kSubBits bits after the leading one.  A sub-bucket is
+/// 2^(e-kSubBits) wide and starts at >= 2^e, so its midpoint is within
+/// 1/32 of any value in it.  bit_width of a value with bit 63 set is 64;
+/// e = 63 is the last power of two, so every uint64 has a bucket.
+constexpr std::size_t kSubBits = 4;
+constexpr std::uint64_t kSub = std::uint64_t{1} << kSubBits;
+
 std::size_t bucket_of(std::uint64_t value) {
-  constexpr std::size_t kLast = 63;
-  return std::min(static_cast<std::size_t>(std::bit_width(value)), kLast);
+  if (value < kSub) return static_cast<std::size_t>(value);
+  const auto e = static_cast<std::size_t>(std::bit_width(value)) - 1;
+  const std::size_t shift = e - kSubBits;
+  const auto sub = static_cast<std::size_t>((value >> shift) & (kSub - 1));
+  return kSub + shift * kSub + sub;
 }
 
-/// Representative value of bucket b — the geometric center of its span.
-/// Clamped by the observed min/max when a percentile is extracted, so tiny
-/// sample counts stay sane.
+/// Representative value of bucket b — the midpoint of the integers it
+/// holds.  Clamped by the observed min/max when a percentile is extracted,
+/// so tiny sample counts stay sane.
 double bucket_mid(std::size_t b) {
-  if (b == 0) return 0.0;
-  const double lo = static_cast<double>(std::uint64_t{1} << (b - 1));
-  return lo * 1.5;
+  if (b < kSub) return static_cast<double>(b);
+  const std::size_t shift = (b - kSub) / kSub;
+  const std::uint64_t sub = (b - kSub) % kSub;
+  const double lo = static_cast<double>((kSub + sub) << shift);
+  const double width = static_cast<double>(std::uint64_t{1} << shift);
+  return lo + (width - 1.0) / 2.0;
 }
+
+static_assert(kSub + (63 - kSubBits) * kSub + (kSub - 1) + 1 ==
+                  Profiler::kBuckets,
+              "one bucket per (power of two, sub-bucket) up to 2^64");
 
 }  // namespace
 

@@ -1,5 +1,5 @@
 // Always-on serving profiler: atomic per-stage counters (count/avg/min/max)
-// plus a log₂ latency histogram per stage, in one buffer that readers
+// plus a log-linear latency histogram per stage, in one buffer that readers
 // drain without ever blocking writers.
 //
 // The discipline is that of a real-time engine's profiler: recording a
@@ -14,9 +14,10 @@
 //
 // Stages are a fixed enum: the audit path records wall time for resolve /
 // inspect / whole-request / queue-wait, and instantaneous values (queue
-// depth) through the same record() channel.  Histogram buckets
-// are powers of two of the raw unit (nanoseconds for timers), which is
-// what makes p50/p95/p99 extraction allocation-free and O(64).
+// depth) through the same record() channel.  Histogram buckets are
+// log-linear in the raw unit (nanoseconds for timers): values below 16 are
+// exact and every power of two splits into 16 equal sub-buckets, which
+// keeps p50/p95/p99 extraction allocation-free and O(kBuckets).
 #pragma once
 
 #include <array>
@@ -47,8 +48,9 @@ inline constexpr std::size_t kProfileStages =
 const char* profile_stage_name(ProfileStage stage);
 
 /// Folded statistics of one stage.  Raw units: nanoseconds for timer
-/// stages, items for kQueueDepth.  Percentiles come from the log₂
-/// histogram and are exact to within their power-of-two bucket.
+/// stages, items for kQueueDepth.  Percentiles are the midpoint of the
+/// log-linear bucket holding the sample at that rank, clamped to
+/// [min, max]: exact below 16 and within 1/32 of the sample above.
 struct ProfileStageStats {
   std::uint64_t count = 0;
   std::uint64_t min = 0;  ///< 0 when count == 0
@@ -73,6 +75,10 @@ struct ProfilerSnapshot {
 
 class Profiler {
  public:
+  /// Histogram size: 16 exact buckets below 16, then 16 sub-buckets for
+  /// each power of two from 2^4 to 2^63.
+  static constexpr std::size_t kBuckets = 16 + 60 * 16;
+
   Profiler();
 
   Profiler(const Profiler&) = delete;
@@ -87,8 +93,6 @@ class Profiler {
   ProfilerSnapshot snapshot();
 
  private:
-  static constexpr std::size_t kBuckets = 64;
-
   struct StageCounters {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "data/ops.hpp"
 #include "util/scratch.hpp"
@@ -13,6 +14,20 @@ namespace {
 float logistic(float v) { return 1.0F / (1.0F + std::exp(-v)); }
 
 }  // namespace
+
+std::string shape_string(const ImageShape& shape) {
+  return std::to_string(shape.channels) + "x" + std::to_string(shape.height) +
+         "x" + std::to_string(shape.width);
+}
+
+bool VisualPrompt::can_embed(const ImageShape& canvas,
+                             const ImageShape& target) {
+  const std::size_t inner_h = canvas.height / 2;
+  const std::size_t inner_w = canvas.width / 2;
+  return target.channels == canvas.channels &&
+         ((target.height == inner_h && target.width == inner_w) ||
+          (target.height / 2 == inner_h && target.width / 2 == inner_w));
+}
 
 VisualPrompt::VisualPrompt(ImageShape canvas, PromptMode mode)
     : canvas_(canvas),
@@ -68,12 +83,19 @@ bool VisualPrompt::is_border(std::size_t y, std::size_t x) const {
 }
 
 Tensor VisualPrompt::apply(const Tensor& target) const {
-  assert(target.rank() == 4 && target.dim(1) == canvas_.channels);
+  if (target.rank() != 4) {
+    throw std::invalid_argument("prompt targets must be [N, C, H, W]");
+  }
+  const ImageShape shape{target.dim(1), target.dim(2), target.dim(3)};
+  if (!can_embed(canvas_, shape)) {
+    throw std::invalid_argument("a " + shape_string(canvas_) +
+                                " prompt canvas cannot embed " +
+                                shape_string(shape) + " target images");
+  }
   // Downscale if the target arrives at full canvas resolution.
   Tensor small = (target.dim(2) == inner_h_ && target.dim(3) == inner_w_)
                      ? target
                      : data::downscale2x(target);
-  assert(small.dim(2) == inner_h_ && small.dim(3) == inner_w_);
 
   const std::size_t n = small.dim(0);
   Tensor canvas({n, canvas_.channels, canvas_.height, canvas_.width});

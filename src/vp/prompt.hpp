@@ -6,6 +6,7 @@
 // prompted sample stays a valid image for any parameter value.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "nn/model.hpp"
@@ -31,6 +32,9 @@ enum class PromptMode {
   kAdditiveCoarse,
 };
 
+/// "CxHxW", for error messages.
+[[nodiscard]] std::string shape_string(const ImageShape& shape);
+
 class VisualPrompt {
  public:
   /// `canvas` is the source model's input shape; the target image is placed
@@ -41,9 +45,15 @@ class VisualPrompt {
   /// Number of trainable parameters (border pixels across channels).
   [[nodiscard]] std::size_t num_params() const { return theta_.size(); }
 
+  /// Whether apply() can embed target images of shape `target` into
+  /// `canvas`: the same channel count, and H x W — as given or after the
+  /// 2x downscale — equal to the canvas's inner half, canvas H/2 x W/2.
+  [[nodiscard]] static bool can_embed(const ImageShape& canvas,
+                                      const ImageShape& target);
+
   /// Prompted batch: embed 2x-downscaled target images, fill border.
-  /// `target` must be [N, C, H, W] with the same C and H/W equal to the
-  /// canvas size (it is downscaled internally) or already canvas/2.
+  /// `target` must be [N, C, H, W] with a shape can_embed() accepts; any
+  /// other throws std::invalid_argument.
   [[nodiscard]] Tensor apply(const Tensor& target) const;
 
   /// Map dL/d(prompted canvas) [N, C, H, W] to dL/dtheta (accumulated over

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
 namespace bprom::vp {
@@ -9,7 +10,12 @@ namespace bprom::vp {
 PromptedModel::PromptedModel(const nn::BlackBoxModel& model,
                              VisualPrompt prompt)
     : model_(&model), prompt_(std::move(prompt)) {
-  assert(model_->input_shape() == prompt_.canvas());
+  if (model_->input_shape() != prompt_.canvas()) {
+    throw std::invalid_argument(
+        "prompt canvas " + shape_string(prompt_.canvas()) +
+        " does not match the model input " +
+        shape_string(model_->input_shape()));
+  }
 }
 
 Tensor PromptedModel::predict_proba(const Tensor& target_images) const {

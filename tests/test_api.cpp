@@ -11,6 +11,7 @@
 #include <future>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -236,6 +237,27 @@ TEST(ApiEngine, InvalidRequestsAreTyped) {
   WrongClassBox wrong;
   responses = engine.audit({request_for("aud", &wrong)});
   EXPECT_EQ(responses[0].status.code(), api::StatusCode::kInvalidRequest);
+  // Models whose input the prompt canvas cannot fill from D_T (3x16x16):
+  // a channel count other than D_T's, or an inner half (H/2 x W/2) that is
+  // neither D_T's H x W nor its 2x downscale.  A 3x32x32 input embeds D_T
+  // as stored and audits normally.
+  const std::pair<nn::ImageShape, api::StatusCode> shapes[] = {
+      {{1, 16, 16}, api::StatusCode::kInvalidRequest},
+      {{4, 16, 16}, api::StatusCode::kInvalidRequest},
+      {{3, 24, 24}, api::StatusCode::kInvalidRequest},
+      {{3, 64, 64}, api::StatusCode::kInvalidRequest},
+      {{3, 32, 32}, api::StatusCode::kOk},
+  };
+  for (const auto& [input, code] : shapes) {
+    util::Rng rng(5);
+    const auto model =
+        nn::make_model(nn::ArchKind::kResNet18Mini, input, 10, rng);
+    nn::BlackBoxAdapter box(*model);
+    responses = engine.audit({request_for("aud", &box)});
+    EXPECT_EQ(responses[0].status.code(), code)
+        << input.channels << "x" << input.height << "x" << input.width << ": "
+        << responses[0].status.message();
+  }
   // Reserved characters in names.
   EXPECT_EQ(engine.publish("bad@name", fixture().detector).status().code(),
             api::StatusCode::kInvalidRequest);

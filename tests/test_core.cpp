@@ -147,6 +147,34 @@ TEST(BpromContracts, InspectRejectsClassCountMismatch) {
   EXPECT_EQ(box.query_count(), 0u);
 }
 
+TEST(BpromContracts, InspectRejectsModelsThePromptCanvasCannotHold) {
+  const auto& detector = micro_detector();
+  // D_T is 3x16x16: a 3x24x24 canvas has a 12x12 inner half, which is
+  // neither D_T as stored nor its 2x downscale.
+  util::Rng rng(3);
+  auto model = nn::make_model(nn::ArchKind::kMlp, nn::ImageShape{3, 24, 24},
+                              10, rng);
+  nn::BlackBoxAdapter box(*model);
+  try {
+    (void)detector.inspect(box);
+    FAIL() << "inspect() accepted a 3x24x24 model for 3x16x16 D_T images";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), detector.inspectable(&box).message());
+  }
+  EXPECT_EQ(box.query_count(), 0u);
+}
+
+TEST(BpromContracts, FitRejectsTargetImagesTheCanvasCannotHold) {
+  core::BpromDetector detector = micro_detector();
+  auto src = data::make_dataset(data::DatasetKind::kCifar10, 14, 64, 16);
+  auto tgt = data::make_dataset(data::DatasetKind::kStl10, 15, 64, 16);
+  // One-channel D_T^train against a three-channel source canvas.
+  tgt.train.images = nn::Tensor({tgt.train.size(), 1, 16, 16}, 0.5F);
+  EXPECT_THROW(detector.fit(src.train, 10, tgt.train, tgt.test),
+               std::invalid_argument);
+  EXPECT_EQ(detector.source_classes(), 10u);
+}
+
 TEST(BpromContracts, FitRejectsNegativeLabelWithoutChangingState) {
   core::BpromDetector detector = micro_detector();
   const auto before = detector.diagnostics().meta_features;

@@ -22,6 +22,7 @@
 #include "net/socket.hpp"
 #include "nn/arch.hpp"
 #include "nn/blackbox.hpp"
+#include "util/rng.hpp"
 
 namespace bprom {
 namespace {
@@ -268,6 +269,37 @@ TEST(NetServer, RequestBudgetExhaustsTypedAndResetsPerConnection) {
   auto again = fresh.value().audit(wire_request());
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again.value().status.ok());
+
+  server.stop();
+}
+
+TEST(NetServer, UploadedModelTheCanvasCannotHoldIsRefusedTyped) {
+  const std::string dir = fresh_dir("bprom_net_shape");
+  api::AuditEngine engine({.store_dir = dir});
+  ASSERT_TRUE(engine.publish("market", fixture().detector).ok());
+  net::Server server(engine, {});
+  ASSERT_TRUE(server.start().ok());
+
+  net::ClientConfig client_config;
+  client_config.port = server.port();
+  auto client = net::Client::connect(client_config);
+  ASSERT_TRUE(client.ok());
+  // D_T is 3x16x16: a 3x64x64 model's 32x32 inner half holds neither D_T
+  // as stored nor its 2x downscale.
+  util::Rng rng(5);
+  const auto wide = nn::make_model(nn::ArchKind::kResNet18Mini,
+                                   nn::ImageShape{3, 64, 64}, 10, rng);
+  net::ClientAuditRequest request = wire_request("wide");
+  request.model = wide.get();
+  auto refused = client.value().audit(request);
+  ASSERT_TRUE(refused.ok());  // transport succeeded; the REQUEST failed
+  EXPECT_EQ(refused.value().status.code(), api::StatusCode::kInvalidRequest)
+      << refused.value().status.to_string();
+
+  // The connection keeps serving.
+  auto ok = client.value().audit(wire_request());
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(ok.value().status.ok()) << ok.value().status.to_string();
 
   server.stop();
 }

@@ -2,12 +2,14 @@
 // table rendering, thread-pool correctness, env knobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/env.hpp"
@@ -279,7 +281,7 @@ TEST(Profiler, PercentilesLandInTheRightBucket) {
   Profiler profiler;
   // 95 fast samples, 5 slow outliers: p50/p95 must stay with the fast
   // mass (nearest-rank index 94 of 100 is still fast), p99 must reach the
-  // outliers' bucket (log2 buckets: exact to within a power of two, and
+  // outliers' bucket (log-linear buckets: within 1/32 of the sample, and
   // always clamped inside [min, max]).
   for (int i = 0; i < 95; ++i) profiler.record(ProfileStage::kInspect, 1000);
   for (int i = 0; i < 5; ++i) {
@@ -295,6 +297,55 @@ TEST(Profiler, PercentilesLandInTheRightBucket) {
   EXPECT_LE(s.p99, 1000000.0);
   EXPECT_GE(s.p95, s.p50);
   EXPECT_GE(s.p99, s.p95);
+}
+
+TEST(Profiler, PercentilesWithinOneSixteenthOfTheExactSample) {
+  // Log-linear buckets: each reported percentile must lie within 1/16 of
+  // the exact sorted sample at the same rank, for smooth, heavy-tailed and
+  // bimodal latency shapes alike.
+  struct Shape {
+    const char* name;
+    std::uint64_t (*draw)(Rng&);
+  };
+  const Shape shapes[] = {
+      {"uniform",
+       [](Rng& rng) {
+         return static_cast<std::uint64_t>(rng.uniform(0.0, 1e6));
+       }},
+      {"log-uniform 1e3..1e7",
+       [](Rng& rng) {
+         return static_cast<std::uint64_t>(
+             std::pow(10.0, rng.uniform(3.0, 7.0)));
+       }},
+      {"bimodal",
+       [](Rng& rng) {
+         const double v = rng.bernoulli(0.8) ? rng.normal(2e4, 2e3)
+                                             : rng.normal(5e6, 5e5);
+         return static_cast<std::uint64_t>(std::max(v, 1.0));
+       }},
+  };
+  std::uint64_t seed = 101;
+  for (const Shape& shape : shapes) {
+    Rng rng(seed++);
+    Profiler profiler;
+    std::vector<std::uint64_t> samples(10000);
+    for (auto& v : samples) {
+      v = shape.draw(rng);
+      profiler.record(ProfileStage::kRequest, v);
+    }
+    std::sort(samples.begin(), samples.end());
+    const ProfileStageStats s = profiler.snapshot()[ProfileStage::kRequest];
+    for (const auto& [q, got] : {std::pair{0.50, s.p50},
+                                 std::pair{0.95, s.p95},
+                                 std::pair{0.99, s.p99}}) {
+      const auto rank = static_cast<std::size_t>(
+          q * static_cast<double>(samples.size() - 1));
+      const double exact = static_cast<double>(samples[rank]);
+      EXPECT_LE(std::abs(got - exact), exact / 16.0)
+          << shape.name << " q=" << q << " exact=" << exact
+          << " reported=" << got;
+    }
+  }
 }
 
 TEST(Profiler, ConcurrentWritersLoseNoSamples) {
@@ -333,9 +384,9 @@ TEST(Profiler, ScopedProfileRecordsAndNullDisables) {
 
 TEST(Profiler, HugeValuesClampIntoTheLastBucket) {
   Profiler profiler;
-  // Regression: values with the top bit set have bit_width 64, which used
-  // to index one past the end of the 64-entry log2 histogram.  They must
-  // clamp into the last bucket and keep percentiles inside [min, max].
+  // Regression: values with the top bit set have bit_width 64, which once
+  // indexed one past the end of the histogram.  They must land in the last
+  // bucket and keep percentiles inside [min, max].
   for (int i = 0; i < 10; ++i) {
     profiler.record(ProfileStage::kInspect, ~std::uint64_t{0});
   }

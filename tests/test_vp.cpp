@@ -1,6 +1,7 @@
 // Visual prompting: prompt geometry, gradients, label mapping, training.
 #include <gtest/gtest.h>
 #include <cmath>
+#include <stdexcept>
 #include "data/generator.hpp"
 #include "data/ops.hpp"
 #include "nn/arch.hpp"
@@ -57,6 +58,29 @@ TEST(Prompt, OutputStaysInUnitRange) {
       EXPECT_LE(v, 1.0F);
     }
   }
+}
+
+TEST(Prompt, RejectsTargetsTheCanvasCannotEmbed) {
+  // The checks hold in every build type: they throw, they do not assert.
+  VisualPrompt prompt(nn::ImageShape{3, 16, 16}, PromptMode::kAdditiveCoarse);
+  EXPECT_EQ(prompt.apply(nn::Tensor({1, 3, 8, 8}, 0.5F)).dim(2), 16u);
+  EXPECT_THROW((void)prompt.apply(nn::Tensor({1, 1, 16, 16}, 0.5F)),
+               std::invalid_argument);
+  EXPECT_THROW((void)prompt.apply(nn::Tensor({1, 3, 12, 12}, 0.5F)),
+               std::invalid_argument);
+  EXPECT_THROW((void)prompt.apply(nn::Tensor({1, 3, 64, 64}, 0.5F)),
+               std::invalid_argument);
+  EXPECT_THROW((void)prompt.apply(nn::Tensor({3, 16, 16}, 0.5F)),
+               std::invalid_argument);
+}
+
+TEST(PromptedModel, RejectsACanvasThatIsNotTheModelInput) {
+  util::Rng rng(8);
+  auto model =
+      nn::make_model(nn::ArchKind::kMlp, nn::ImageShape{3, 16, 16}, 10, rng);
+  nn::BlackBoxAdapter box(*model);
+  EXPECT_THROW(PromptedModel(box, VisualPrompt(nn::ImageShape{3, 32, 32})),
+               std::invalid_argument);
 }
 
 TEST(Prompt, GradientMatchesFiniteDifference) {

@@ -1,0 +1,69 @@
+# Symbol hygiene of the AVX2 GEMM tile object (src/tensor/gemm_avx2.cpp,
+# the only translation unit compiled with -mavx2):
+#
+#   cmake -DNM=nm -DOBJECT=<gemm_avx2.cpp.o> -P tools/check_tile_symbols.cmake
+#
+# The linker keeps one copy of every weak definition for the whole program,
+# so a weak (W, w, V, v) or unique (u) symbol defined here could be the copy
+# the baseline path runs, and a host without AVX2 would die with SIGILL.
+# Low optimization levels emit such copies for any inline or template
+# function with external linkage the tile calls.  The check fails on those,
+# on any global symbol other than the entry points, and on a missing entry
+# point (so a wrong object path cannot pass vacuously).  CTest runs it as
+# `gemm_tile_symbols`.
+cmake_minimum_required(VERSION 3.16)
+
+if(NOT NM OR NOT OBJECT)
+  message(FATAL_ERROR "usage: cmake -DNM=<nm> -DOBJECT=<gemm_avx2 object> "
+                      "-P ${CMAKE_CURRENT_LIST_FILE}")
+endif()
+
+execute_process(COMMAND ${NM} --defined-only ${OBJECT}
+                OUTPUT_VARIABLE listing
+                ERROR_VARIABLE errors
+                RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "${NM} --defined-only ${OBJECT} failed: ${errors}")
+endif()
+
+# bprom::tensor::detail::gemm_tile_avx2, one overload per element type.
+set(entry_pattern "^_ZN5bprom6tensor6detail14gemm_tile_avx2E")
+set(entry_count 2)
+# ISA-neutral data the compiler may emit weak: the exception-handling
+# personality pointer.
+set(allowed DW.ref.__gxx_personality_v0)
+
+string(REPLACE "\n" ";" lines "${listing}")
+set(entries 0)
+set(violations "")
+foreach(line IN LISTS lines)
+  if(NOT line MATCHES "^[0-9a-fA-F]+ ([A-Za-z]) (.+)$")
+    continue()
+  endif()
+  set(type "${CMAKE_MATCH_1}")
+  set(name "${CMAKE_MATCH_2}")
+  if(name IN_LIST allowed)
+    continue()
+  endif()
+  if(type MATCHES "^[WwVvu]$")
+    list(APPEND violations "${type} ${name} (weak or unique)")
+  elseif(type MATCHES "^[A-Z]$")
+    if(name MATCHES "${entry_pattern}")
+      math(EXPR entries "${entries} + 1")
+    else()
+      list(APPEND violations "${type} ${name} (global, not an entry point)")
+    endif()
+  endif()
+endforeach()
+
+if(violations)
+  list(JOIN violations "\n  " report)
+  message(FATAL_ERROR
+    "${OBJECT} defines symbols the AVX2 tile must not:\n  ${report}")
+endif()
+if(NOT entries EQUAL entry_count)
+  message(FATAL_ERROR "${OBJECT}: expected ${entry_count} gemm_tile_avx2 "
+                      "entry points, found ${entries}")
+endif()
+message(STATUS
+  "${OBJECT}: ${entries} entry points, no weak or stray global symbols")
