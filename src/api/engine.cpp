@@ -61,7 +61,7 @@ Status status_from(const io::IoError& error) {
 
 AuditEngine::AuditEngine(EngineConfig config)
     : config_(std::move(config)),
-      async_ring_(std::max<std::size_t>(2, config_.async_queue_capacity)) {
+      async_queue_(config_.async_queue_capacity) {
   try {
     store_.emplace(config_.store_dir);
     if (config_.recover_on_start) (void)store_->recover();
@@ -81,21 +81,21 @@ AuditEngine::AuditEngine(EngineConfig config)
 }
 
 AuditEngine::~AuditEngine() {
-  // Drain-on-destruct: closing the ring stops new submissions; workers pop
-  // whatever is still queued (pop_wait only reports closed once the ring is
+  // Drain-on-destruct: closing the queue stops new submissions; workers pop
+  // whatever is still queued (pop only reports closed once the queue is
   // empty), fulfill every promise, and exit.  After the joins no thread can
   // touch this engine again.
-  async_ring_.close();
+  async_queue_.close();
   for (auto& worker : serve_workers_) worker.join();
 }
 
 void AuditEngine::serve_loop() {
   AsyncJob job;
-  while (async_ring_.pop_wait(job) == util::MpmcRing<AsyncJob>::Pop::kItem) {
+  while (async_queue_.pop(job)) {
     profiler_.record(
         util::ProfileStage::kQueueWait,
         static_cast<std::uint64_t>(job.submitted.seconds() * 1e9));
-    profiler_.record(util::ProfileStage::kQueueDepth, async_ring_.size());
+    profiler_.record(util::ProfileStage::kQueueDepth, async_queue_.size());
     run_job(job);
     job = AsyncJob{};  // release request references before the next wait
   }
@@ -492,13 +492,13 @@ void AuditEngine::audit_async(std::vector<AuditRequest> batch,
   AsyncJob job;
   // Deadlines are measured from submission, so the clock starts here
   // (AsyncJob's Stopwatch starts on construction): time a batch spends
-  // queued in the ring counts against it.
+  // queued counts against it.
   job.batch = std::move(batch);
   job.callback = std::move(on_done);
-  if (!async_ring_.push_wait(std::move(job))) {
-    // The ring only refuses when it is closed — the engine is being torn
+  if (!async_queue_.push(std::move(job))) {
+    // The queue only refuses when it is closed — the engine is being torn
     // down under us.  Run the batch inline so the callback still fires
-    // exactly once; push_wait left `job` untouched on failure.
+    // exactly once; push left `job` untouched on failure.
     run_job(job);
   }
 }

@@ -29,7 +29,7 @@
 #include "api/types.hpp"
 #include "io/binary.hpp"
 #include "serve/detector_store.hpp"
-#include "util/mpmc_ring.hpp"
+#include "util/bounded_queue.hpp"
 #include "util/profiler.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_annotations.hpp"
@@ -52,12 +52,13 @@ struct EngineConfig {
   /// Pool audits and fits fan out on; nullptr = process-wide default pool
   /// (BPROM_THREADS).  Borrowed — must outlive the engine.
   util::ThreadPool* pool = nullptr;
-  /// Bounded capacity of the async batch ring (rounded up to a power of
-  /// two).  A full ring is backpressure: audit_async blocks until a worker
-  /// frees a slot, so a flood of submissions degrades into queueing delay
-  /// (visible as queue_wait in the profiler) instead of unbounded memory.
+  /// Most async batches queued for the serving workers at once (0 is taken
+  /// as 1).  A full queue is backpressure: audit_async blocks until a
+  /// worker takes a batch, so a flood of submissions degrades into queueing
+  /// delay (visible as queue_wait in the profiler) instead of unbounded
+  /// memory.
   std::size_t async_queue_capacity = 64;
-  /// Dedicated serving workers draining the ring.  Each worker runs one
+  /// Dedicated serving workers draining the queue.  Each worker runs one
   /// batch at a time (the batch itself fans out on `pool`), so this is the
   /// cross-batch concurrency of the async path.
   std::size_t async_workers = 2;
@@ -93,7 +94,7 @@ class AuditEngine {
   /// every subsequent operation reports it.
   explicit AuditEngine(EngineConfig config);
 
-  /// Drains the async ring and joins the serving workers: every batch
+  /// Drains the async queue and joins the serving workers: every batch
   /// accepted by audit_async() — running or still queued — completes and
   /// its completion fires before the engine's memory goes away.
   ~AuditEngine();
@@ -144,20 +145,20 @@ class AuditEngine {
       const std::vector<AuditRequest>& batch);
 
   /// Same semantics, off the calling thread: the batch is handed to the
-  /// serving workers through a bounded lock-free MPMC ring and audited on
-  /// the engine's pool.  Safe to call concurrently with publish() and from
-  /// many threads at once; the batch audits whatever versions it resolves
-  /// when a worker picks it up.  A full ring blocks the caller
-  /// (backpressure) until a slot frees.  Deadlines anchor at submission,
-  /// so ring wait counts against them.  A wrapper over the callback
-  /// overload: get() never throws, and a batch that dies exceptionally
-  /// resolves with per-request kInternal statuses.
+  /// serving workers through a bounded queue and audited on the engine's
+  /// pool.  Safe to call concurrently with publish() and from many threads
+  /// at once; the batch audits whatever versions it resolves when a worker
+  /// picks it up.  A full queue blocks the caller (backpressure) until a
+  /// worker takes a batch.  Deadlines anchor at submission, so queue wait
+  /// counts against them.  A wrapper over the callback overload: get()
+  /// never throws, and a batch that dies exceptionally resolves with
+  /// per-request kInternal statuses.
   [[nodiscard]] std::future<std::vector<AuditResponse>> audit_async(
       std::vector<AuditRequest> batch);
 
   /// Completion delivered by callback instead of future, with the same
   /// queueing, backpressure, and deadline semantics.  `on_done` runs on a
-  /// serving worker (or inline on the caller when the ring is already
+  /// serving worker (or inline on the caller when the queue is already
   /// closed) exactly once, and MUST NOT throw — event-driven callers (the
   /// net front end) use it to release admission slots and drain barriers,
   /// so a lost invocation would wedge them.  If the batch itself dies
@@ -210,9 +211,8 @@ class AuditEngine {
   std::atomic<std::uint64_t> rollovers_{0};
   std::atomic<std::uint64_t> deadline_misses_{0};
 
-  /// Always-on latency telemetry.  Mutable: stats() is logically const but
-  /// a snapshot flips the profiler's epoch buffers.
-  mutable util::Profiler profiler_;
+  /// Always-on latency telemetry.
+  util::Profiler profiler_;
 
   /// One queued async batch: the requests, the callback that completes it,
   /// and the submission clock deadlines anchor to.
@@ -222,18 +222,17 @@ class AuditEngine {
     util::Stopwatch submitted;
   };
 
-  /// Worker loop: pop batches off the ring until it is closed and drained.
+  /// Worker loop: pop batches off the queue until it is closed and drained.
   void serve_loop();
   /// Audit one async batch and fire its callback exactly once — with
   /// per-request kInternal statuses if the batch throws.
   void run_job(AsyncJob& job);
 
-  /// Bounded lock-free hand-off from audit_async() to the serving workers
-  /// (replaces the PR 4 mutex+condvar pending counter).
-  util::MpmcRing<AsyncJob> async_ring_;
+  /// Bounded hand-off from audit_async() to the serving workers.
+  util::BoundedQueue<AsyncJob> async_queue_;
   // Dedicated long-lived serving threads: routing them through the
   // work-assisting ThreadPool would deadlock the pool (workers block in
-  // pop_wait), and they never touch batch-order-dependent math.
+  // pop), and they never touch batch-order-dependent math.
   // bprom-lint: allow(raw-thread)
   std::vector<std::thread> serve_workers_;
 };

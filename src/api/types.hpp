@@ -48,7 +48,7 @@ struct AuditRequest {
   /// rely on mid-flight cutoff.
   std::uint64_t query_budget = kUnlimitedQueries;
   /// Per-request deadline in milliseconds measured from batch submission
-  /// (for audit_async, ring wait counts); 0 disables.  A request whose turn
+  /// (for audit_async, queue wait counts); 0 disables.  A request whose turn
   /// comes after the deadline fails with kDeadlineExceeded before querying
   /// the model; a request that overruns mid-inspection is cut off at the
   /// next check inside it — before a prompt-ensemble member's optimizer run

@@ -35,24 +35,18 @@ bool transport_retryable(const api::Status& status) {
          status.code() == api::StatusCode::kDeadlineExceeded;
 }
 
-api::Result<Socket> dial(const ClientConfig& config) {
-  return config.connect_timeout_ms > 0 || config.send_timeout_ms > 0 ||
-                 config.recv_timeout_ms > 0
-             ? connect_to(config.host, config.port, config.connect_timeout_ms)
-             : connect_to(config.host, config.port);
-}
-
 }  // namespace
 
 api::Result<Client> Client::connect(const ClientConfig& config) {
-  auto sock = dial(config);
+  auto sock = connect_to(config.host, config.port, config.connect_timeout_ms);
   if (!sock.ok()) return sock.status();
   return Client(std::move(sock).value(), config);
 }
 
 api::Status Client::reconnect() {
   close();
-  auto sock = dial(config_);
+  auto sock =
+      connect_to(config_.host, config_.port, config_.connect_timeout_ms);
   if (!sock.ok()) return sock.status();
   sock_ = std::move(sock).value();
   // Any half-received frame died with the old connection.
@@ -63,11 +57,8 @@ api::Status Client::reconnect() {
 api::Status Client::send_frame(MsgType type, std::uint64_t request_id,
                                const io::Writer& body) {
   const std::vector<std::uint8_t> frame = encode_frame(type, request_id, body);
-  api::Status sent =
-      bounded()
-          ? send_all(sock_.fd(), frame.data(), frame.size(),
-                     config_.send_timeout_ms)
-          : send_all(sock_.fd(), frame.data(), frame.size());
+  api::Status sent = send_all(sock_.fd(), frame.data(), frame.size(),
+                              config_.send_timeout_ms);
   if (!sent.ok()) close();  // a half-written frame is unrecoverable
   return sent;
 }
@@ -84,10 +75,8 @@ api::Status Client::read_frame(FrameHeader* header,
       return error;
     }
     std::size_t got = 0;
-    api::Status s = bounded()
-                        ? recv_some(sock_.fd(), buf.data(), buf.size(), &got,
-                                    config_.recv_timeout_ms)
-                        : recv_some(sock_.fd(), buf.data(), buf.size(), &got);
+    api::Status s = recv_some(sock_.fd(), buf.data(), buf.size(), &got,
+                              config_.recv_timeout_ms);
     if (!s.ok()) {
       close();
       return s;

@@ -64,9 +64,8 @@ struct ClientConfig {
   std::uint16_t port = 0;
   /// Ceiling on one received frame's body (mirror of the server knob).
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Transport deadlines, milliseconds; 0 = legacy blocking waits (a hung
-  /// peer hangs the call).  Any non-zero value switches the connection to
-  /// non-blocking + poll, surfacing kDeadlineExceeded on expiry.
+  /// Transport deadlines, milliseconds; 0 = no deadline (a hung peer hangs
+  /// the call).  On expiry the call fails with kDeadlineExceeded.
   int connect_timeout_ms = 0;
   int send_timeout_ms = 0;
   int recv_timeout_ms = 0;
@@ -127,13 +126,6 @@ class Client {
         config_(config),
         assembler_(config.max_frame_bytes),
         jitter_(config.retry.jitter_seed) {}
-
-  /// True when any transport timeout is configured — the socket is then
-  /// non-blocking and all IO goes through the poll-based helpers.
-  [[nodiscard]] bool bounded() const {
-    return config_.connect_timeout_ms > 0 || config_.send_timeout_ms > 0 ||
-           config_.recv_timeout_ms > 0;
-  }
 
   /// Re-establish the connection with a fresh frame assembler.
   api::Status reconnect();

@@ -28,11 +28,11 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-/// Per-connection state.  Fields fall into three ownership classes:
-/// atomics (touched by IO thread + completion callbacks), mutex-guarded
-/// write state (same two parties), and plain fields owned exclusively by
-/// the connection's IO thread (parser, budgets, epoll bookkeeping) — those
-/// need no lock because a connection never changes threads.
+/// Per-connection state.  Fields fall into two ownership classes: state
+/// shared with engine completion callbacks, guarded by `mu`, and plain
+/// fields owned exclusively by the connection's IO thread (parser, budgets,
+/// epoll bookkeeping) — those need no lock because a connection never
+/// changes threads.  `closed` is a flag both parties read.
 struct Server::Connection {
   Connection(Socket socket, std::size_t max_frame_bytes)
       : sock(std::move(socket)),
@@ -41,11 +41,6 @@ struct Server::Connection {
 
   Socket sock;
   std::atomic<bool> closed{false};
-  std::atomic<std::size_t> in_flight{0};
-  /// Completions that already released their admission slots but have not
-  /// enqueued their response frame yet.  In that window the connection is
-  /// neither in-flight nor write-pending, but must not be reaped as idle.
-  std::atomic<std::size_t> completions_pending{0};
 
   // --- owning IO thread only ---
   FrameAssembler assembler;
@@ -58,6 +53,8 @@ struct Server::Connection {
 
   // --- shared with completion callbacks ---
   util::Mutex mu;
+  /// Admitted audits whose completion has not run yet.
+  std::size_t in_flight BPROM_GUARDED_BY(mu) = 0;
   std::deque<std::vector<std::uint8_t>> write_queue BPROM_GUARDED_BY(mu);
   std::size_t write_offset BPROM_GUARDED_BY(mu) = 0;  // into front()
 };
@@ -412,8 +409,7 @@ void Server::dispatch_frame(IoThread& io,
       encode_stats_response(writer, msg);
       enqueue_write(io, conn,
                     encode_frame(MsgType::kStatsResponse, header.request_id,
-                                 writer),
-                    /*from_io_thread=*/true);
+                                 writer));
       return;
     }
     case MsgType::kShutdownRequest: {
@@ -436,8 +432,7 @@ void Server::dispatch_frame(IoThread& io,
       encode_shutdown_response(writer, msg);
       enqueue_write(io, conn,
                     encode_frame(MsgType::kShutdownResponse,
-                                 header.request_id, writer),
-                    /*from_io_thread=*/true);
+                                 header.request_id, writer));
       return;
     }
     case MsgType::kInfoRequest: {
@@ -462,8 +457,7 @@ void Server::dispatch_frame(IoThread& io,
       encode_info_response(writer, msg);
       enqueue_write(io, conn,
                     encode_frame(MsgType::kInfoResponse, header.request_id,
-                                 writer),
-                    /*from_io_thread=*/true);
+                                 writer));
       return;
     }
     default:
@@ -491,11 +485,13 @@ void Server::handle_audit(IoThread& io,
   }
   // Admission runs BEFORE the body is decoded: rejecting an over-budget
   // request must stay cheap exactly when the server is overloaded.
-  // relaxed: in_flight is incremented by this thread only; the load needs
-  // atomicity against the completion callback's decrement, not ordering.
-  if (api::Status admit =
-          admission_.admit(conn->in_flight.load(std::memory_order_relaxed),
-                           conn->requests_seen, conn->bytes_seen);
+  std::size_t in_flight = 0;
+  {
+    util::MutexLock lock(conn->mu);
+    in_flight = conn->in_flight;
+  }
+  if (api::Status admit = admission_.admit(in_flight, conn->requests_seen,
+                                           conn->bytes_seen);
       !admit.ok()) {
     send_error(io, conn, header.request_id, admit);
     return;
@@ -528,15 +524,17 @@ void Server::handle_audit(IoThread& io,
   std::vector<api::AuditRequest> batch;
   batch.push_back(std::move(request));
 
-  // relaxed: single-writer counter (this IO thread); see admit() above.
-  conn->in_flight.fetch_add(1, std::memory_order_relaxed);
+  {
+    util::MutexLock lock(conn->mu);
+    ++conn->in_flight;
+  }
   {
     util::MutexLock lock(drain_mu_);
     ++callbacks_in_flight_;
   }
   IoThread* owner = io_threads_[conn->io_index].get();
   const std::uint64_t request_id = header.request_id;
-  // Backpressure by construction: a full engine ring blocks this submit,
+  // Backpressure by construction: a full engine queue blocks this submit,
   // which stops this IO thread reading sockets, which lets TCP flow
   // control push back on clients — bounded memory, not a hidden backlog.
   engine_->audit_async(
@@ -550,29 +548,28 @@ void Server::handle_audit(IoThread& io,
         } else {
           response = to_wire(responses[0]);
         }
-        // Slots are released BEFORE the response frame is enqueued: the
-        // client reads a response as "my slot is free" and may pipeline
-        // the next request the instant the frame lands, so releasing
-        // after the enqueue loses that race and bounces well-behaved
-        // ping-pong traffic off a stale in-flight count.
-        // relaxed: counts the sweeper-guard window opened below; the
-        // in_flight release fence orders it for the sweeper.
-        conn->completions_pending.fetch_add(1, std::memory_order_relaxed);
-        // release: pairs with the idle sweeper's acquire load — a sweeper
-        // that observes this decrement also observes the pending
-        // completion registered above, so the connection is never judged
-        // idle between slot release and response enqueue.
-        conn->in_flight.fetch_sub(1, std::memory_order_release);
-        admission_.release();
         io::Writer writer;
         encode_audit_response(writer, response);
-        enqueue_write(
-            *owner, conn,
-            encode_frame(MsgType::kAuditResponse, request_id, writer),
-            /*from_io_thread=*/false);
-        // release: a sweeper that reads 0 here synchronizes with this
-        // store and therefore sees the enqueued frame under conn->mu.
-        conn->completions_pending.fetch_sub(1, std::memory_order_release);
+        std::vector<std::uint8_t> frame =
+            encode_frame(MsgType::kAuditResponse, request_id, writer);
+        // One critical section frees the slots and queues the response.
+        // The IO thread sends under the same lock, so the slots are free
+        // before the client can read the frame (a ping-pong client
+        // pipelines its next request the instant the frame lands), and a
+        // sweep sees either the audit in flight or its response queued.
+        {
+          util::MutexLock lock(conn->mu);
+          --conn->in_flight;
+          admission_.release();
+          if (!conn->closed.load(std::memory_order_acquire)) {
+            conn->write_queue.push_back(std::move(frame));
+          }
+        }
+        {
+          util::MutexLock lock(owner->mu);
+          owner->writable.push_back(conn);
+        }
+        wake(*owner);
         {
           util::MutexLock lock(drain_mu_);
           if (--callbacks_in_flight_ == 0) drain_cv_.notify_all();
@@ -586,28 +583,18 @@ void Server::send_error(IoThread& io, const std::shared_ptr<Connection>& conn,
   msg.status = status;
   io::Writer writer;
   encode_error(writer, msg);
-  enqueue_write(io, conn, encode_frame(MsgType::kError, request_id, writer),
-                /*from_io_thread=*/true);
+  enqueue_write(io, conn, encode_frame(MsgType::kError, request_id, writer));
 }
 
 void Server::enqueue_write(IoThread& io,
                            const std::shared_ptr<Connection>& conn,
-                           std::vector<std::uint8_t> frame,
-                           bool from_io_thread) {
+                           std::vector<std::uint8_t> frame) {
   if (conn->closed.load(std::memory_order_acquire)) return;
   {
     util::MutexLock lock(conn->mu);
     conn->write_queue.push_back(std::move(frame));
   }
-  if (from_io_thread) {
-    flush_writes(io, conn);
-  } else {
-    {
-      util::MutexLock lock(io.mu);
-      io.writable.push_back(conn);
-    }
-    wake(io);
-  }
+  flush_writes(io, conn);
 }
 
 void Server::flush_writes(IoThread& io,
@@ -681,21 +668,14 @@ void Server::sweep_idle(IoThread& io) {
   const auto limit = std::chrono::milliseconds(config_.idle_timeout_ms);
   std::vector<std::shared_ptr<Connection>> stale;
   for (auto& [fd, conn] : io.conns) {
-    // acquire: pairs with the completion callback's release ordering —
-    // seeing the in-flight decrement implies seeing the pending
-    // completion it registered first, so a connection mid-completion
-    // (slot released, response not yet enqueued) is never reaped.
-    if (conn->in_flight.load(std::memory_order_acquire) > 0) continue;
-    if (conn->completions_pending.load(std::memory_order_acquire) > 0) {
-      continue;
-    }
-    bool pending;
+    bool owes_nothing = false;
     {
       util::MutexLock lock(conn->mu);
-      pending = !conn->write_queue.empty();
+      owes_nothing = conn->in_flight == 0 && conn->write_queue.empty();
     }
-    if (pending) continue;
-    if (now - conn->last_activity >= limit) stale.push_back(conn);
+    if (owes_nothing && now - conn->last_activity >= limit) {
+      stale.push_back(conn);
+    }
   }
   for (auto& conn : stale) {
     // relaxed: statistics tally.
@@ -707,19 +687,11 @@ void Server::sweep_idle(IoThread& io) {
 void Server::sweep_draining(IoThread& io) {
   std::vector<std::shared_ptr<Connection>> done;
   for (auto& [fd, conn] : io.conns) {
-    // Same acquire pairing as sweep_idle: a connection between slot
-    // release and response enqueue is mid-completion, not finished.
-    if (conn->in_flight.load(std::memory_order_acquire) > 0) continue;
-    if (conn->completions_pending.load(std::memory_order_acquire) > 0) {
-      continue;
+    util::MutexLock lock(conn->mu);
+    // An audit still running or response bytes still owed: not done yet.
+    if (conn->in_flight == 0 && conn->write_queue.empty()) {
+      done.push_back(conn);
     }
-    bool pending;
-    {
-      util::MutexLock lock(conn->mu);
-      pending = !conn->write_queue.empty();
-    }
-    if (pending) continue;  // response bytes still owed: flush first
-    done.push_back(conn);
   }
   for (auto& conn : done) close_connection(io, conn);
 }

@@ -13,8 +13,8 @@
 //     while a connection has queued bytes.
 //   - A decoded audit request is handed to AuditEngine::audit_async with a
 //     completion callback: the engine's serve workers run the inspection
-//     and the callback enqueues the response frame and wakes the owning IO
-//     thread through its eventfd.  When the engine's bounded ring is full,
+//     and the callback queues the response frame and wakes the owning IO
+//     thread through its eventfd.  When the engine's bounded queue is full,
 //     audit_async blocks the IO thread — the socket stops being read, TCP
 //     flow control pushes back on clients, and memory stays bounded
 //     instead of buffering an unbounded backlog.
@@ -123,11 +123,10 @@ class Server {
                       std::vector<std::uint8_t>& body);
   void handle_audit(IoThread& io, const std::shared_ptr<Connection>& conn,
                     const FrameHeader& header, std::vector<std::uint8_t>& body);
-  /// Append an encoded frame to the connection's write queue.  From the
-  /// owning IO thread, flushes inline; from a completion callback, wakes
-  /// the owning thread instead (`from_io_thread = false`).
+  /// Append an encoded frame to the connection's write queue and flush
+  /// inline.  IO-thread only.
   void enqueue_write(IoThread& io, const std::shared_ptr<Connection>& conn,
-                     std::vector<std::uint8_t> frame, bool from_io_thread);
+                     std::vector<std::uint8_t> frame);
   void send_error(IoThread& io, const std::shared_ptr<Connection>& conn,
                   std::uint64_t request_id, const api::Status& status);
   /// Drain the write queue as far as the socket allows; arms/disarms
@@ -135,8 +134,8 @@ class Server {
   void flush_writes(IoThread& io, const std::shared_ptr<Connection>& conn);
   void close_connection(IoThread& io, const std::shared_ptr<Connection>& conn);
   void sweep_idle(IoThread& io);
-  /// Drain-mode sweep: close every connection with no in-flight audit, no
-  /// mid-completion callback, and an empty write queue.  IO-thread only.
+  /// Drain-mode sweep: close every connection with no in-flight audit and
+  /// an empty write queue.  IO-thread only.
   void sweep_draining(IoThread& io);
   void update_epoll(IoThread& io, Connection& conn);
   void wake(IoThread& io);

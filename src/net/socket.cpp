@@ -90,24 +90,6 @@ api::Result<Socket> listen_on(const std::string& host, std::uint16_t port,
   return sock;
 }
 
-api::Result<Socket> connect_to(const std::string& host, std::uint16_t port) {
-  auto addr = parse_addr(host, port);
-  if (!addr.ok()) return addr.status();
-  Socket sock(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!sock.valid()) return errno_status("socket()");
-  int rc;
-  do {
-    rc = ::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&addr.value()),
-                   sizeof(sockaddr_in));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    return errno_status("connect(" + host + ":" + std::to_string(port) + ")");
-  }
-  const int one = 1;
-  ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return sock;
-}
-
 api::Result<std::uint16_t> local_port(int fd) {
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
@@ -125,37 +107,8 @@ api::Status set_nonblocking(int fd) {
   return api::Status::Ok();
 }
 
-api::Status send_all(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t rc = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
-    if (rc > 0) {
-      sent += static_cast<std::size_t>(rc);
-      continue;
-    }
-    if (rc < 0 && errno == EINTR) continue;
-    return errno_status("send()");
-  }
-  return api::Status::Ok();
-}
-
-api::Status recv_some(int fd, std::uint8_t* buf, std::size_t cap,
-                      std::size_t* got) {
-  *got = 0;
-  for (;;) {
-    const ssize_t rc = ::recv(fd, buf, cap, 0);
-    if (rc >= 0) {
-      *got = static_cast<std::size_t>(rc);
-      return api::Status::Ok();
-    }
-    if (errno == EINTR) continue;
-    return errno_status("recv()");
-  }
-}
-
 api::Result<Socket> connect_to(const std::string& host, std::uint16_t port,
                                int timeout_ms) {
-  if (timeout_ms <= 0) return connect_to(host, port);
   if (auto hit = BPROM_FAILPOINT("net.connect")) {
     (void)hit;
     return api::Status::Internal("injected connect failure");
@@ -194,7 +147,7 @@ api::Result<Socket> connect_to(const std::string& host, std::uint16_t port,
   }
   const int one = 1;
   ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return sock;  // stays non-blocking for the timeout-aware send/recv
+  return sock;  // stays non-blocking for send_all/recv_some
 }
 
 api::Status send_all(int fd, const std::uint8_t* data, std::size_t n,

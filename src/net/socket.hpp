@@ -1,9 +1,10 @@
 // Thin RAII + Status-typed wrappers over the POSIX socket calls the net
 // subsystem uses.  Nothing here knows about frames or messages — just fds,
-// addresses, and partial-IO-correct send/recv helpers.  Addresses are
-// numeric IPv4 only ("127.0.0.1"): the serving deployments this front end
-// targets sit behind their own load balancer / service discovery, so name
-// resolution stays out of the dependency set.
+// addresses, and partial-IO-correct send/recv helpers.  The client-side
+// helpers (connect_to, send_all, recv_some) carry the net.* failpoints.
+// Addresses are numeric IPv4 only ("127.0.0.1"): the serving deployments
+// this front end targets sit behind their own load balancer / service
+// discovery, so name resolution stays out of the dependency set.
 #pragma once
 
 #include <cstddef>
@@ -48,15 +49,11 @@ class Socket {
 api::Result<Socket> listen_on(const std::string& host, std::uint16_t port,
                               int backlog);
 
-/// Blocking TCP connect to `host:port` with TCP_NODELAY.
-api::Result<Socket> connect_to(const std::string& host, std::uint16_t port);
-
-/// Bounded TCP connect: non-blocking connect + poll(POLLOUT), failing with
-/// kDeadlineExceeded after `timeout_ms` (a SYN-dropping peer no longer
-/// hangs the caller for the kernel's multi-minute default).  The returned
-/// socket is left NON-blocking — pair it with the timeout-aware
-/// send_all/recv_some overloads below.  timeout_ms <= 0 degrades to the
-/// blocking connect_to.
+/// TCP connect to `host:port` with TCP_NODELAY: non-blocking connect +
+/// poll(POLLOUT), failing with kDeadlineExceeded after `timeout_ms` (a
+/// SYN-dropping peer does not hang the caller for the kernel's multi-minute
+/// default).  timeout_ms <= 0 waits without a deadline.  The returned
+/// socket is non-blocking — pair it with send_all/recv_some below.
 api::Result<Socket> connect_to(const std::string& host, std::uint16_t port,
                                int timeout_ms);
 
@@ -65,22 +62,15 @@ api::Result<std::uint16_t> local_port(int fd);
 
 api::Status set_nonblocking(int fd);
 
-/// Blocking write of the whole buffer (retries partial writes / EINTR).
-api::Status send_all(int fd, const std::uint8_t* data, std::size_t n);
-
-/// Blocking read of up to `cap` bytes.  *got == 0 means orderly peer close.
-api::Status recv_some(int fd, std::uint8_t* buf, std::size_t cap,
-                      std::size_t* got);
-
-/// Bounded whole-buffer write on a non-blocking fd: poll(POLLOUT) between
-/// partial writes, kDeadlineExceeded when `timeout_ms` elapses with bytes
-/// still unsent.  timeout_ms <= 0 waits forever (poll with no deadline).
+/// Whole-buffer write on a non-blocking fd: poll(POLLOUT) between partial
+/// writes, kDeadlineExceeded when `timeout_ms` elapses with bytes still
+/// unsent.  timeout_ms <= 0 waits without a deadline.
 api::Status send_all(int fd, const std::uint8_t* data, std::size_t n,
                      int timeout_ms);
 
-/// Bounded read of up to `cap` bytes on a non-blocking fd: poll(POLLIN)
-/// until data, peer close (*got == 0), or `timeout_ms` elapses
-/// (kDeadlineExceeded).  timeout_ms <= 0 waits forever.
+/// Read of up to `cap` bytes on a non-blocking fd: poll(POLLIN) until data,
+/// peer close (*got == 0), or `timeout_ms` elapses (kDeadlineExceeded).
+/// timeout_ms <= 0 waits without a deadline.
 api::Status recv_some(int fd, std::uint8_t* buf, std::size_t cap,
                       std::size_t* got, int timeout_ms);
 

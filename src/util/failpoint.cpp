@@ -36,10 +36,10 @@ const char* const kRegistry[] = {
     "store.generation.write", // DetectorStore::bump_generation: fail the write
     "store.lock.crash",       // StoreLock: crash while holding the lock
     "store.publish.crash",    // AuditEngine::publish: between put and bump
-    "net.connect",            // timeout-aware connect_to
-    "net.send",               // timeout-aware send_all
-    "net.recv",               // timeout-aware recv_some
-    "net.recv.stall",         // timeout-aware recv_some: delay before reading
+    "net.connect",            // net::connect_to (every client connect)
+    "net.send",               // net::send_all (every client send)
+    "net.recv",               // net::recv_some (every client recv)
+    "net.recv.stall",         // net::recv_some: delay before reading
     // failpoint-registry-end
 };
 

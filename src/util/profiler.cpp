@@ -65,64 +65,20 @@ const char* profile_stage_name(ProfileStage stage) {
 Profiler::Profiler() = default;
 
 void Profiler::record(ProfileStage stage, std::uint64_t value) {
-  StageCounters& c = stages_[static_cast<std::size_t>(stage)];
-  // relaxed: samples are integers folded commutatively; no reader ever
-  // infers cross-counter ordering (count/sum/min/max may transiently
-  // disagree mid-record and the fold tolerates that).
-  c.count.fetch_add(1, std::memory_order_relaxed);
-  c.sum.fetch_add(value, std::memory_order_relaxed);  // relaxed: see above
-  // relaxed: min/max CAS loops — atomicity is all that matters, the loop
-  // re-reads on failure.
-  std::uint64_t seen = c.min.load(std::memory_order_relaxed);
-  while (value < seen &&
-         !c.min.compare_exchange_weak(seen, value,
-                                      std::memory_order_relaxed)) {  // relaxed: ^
-  }
-  seen = c.max.load(std::memory_order_relaxed);  // relaxed: see above
-  while (value > seen &&
-         !c.max.compare_exchange_weak(seen, value,
-                                      std::memory_order_relaxed)) {  // relaxed: ^
-  }
-  // relaxed: commutative histogram increment, same contract as count/sum.
-  c.histogram[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+  MutexLock lock(mu_);
+  CumulativeStage& c = stages_[static_cast<std::size_t>(stage)];
+  ++c.count;
+  c.sum += static_cast<double>(value);
+  c.min = std::min(c.min, value);
+  c.max = std::max(c.max, value);
+  ++c.histogram[bucket_of(value)];
 }
 
-void Profiler::fold_and_reset() {
-  for (std::size_t s = 0; s < kProfileStages; ++s) {
-    StageCounters& src = stages_[s];
-    CumulativeStage& dst = cumulative_[s];
-    // relaxed: each exchange is individually atomic against writer RMWs,
-    // and that is the whole requirement — each RMW lands in either this
-    // fold or the next, never both.
-    const std::uint64_t count = src.count.exchange(
-        0, std::memory_order_relaxed);  // relaxed: see above
-    const std::uint64_t sum =
-        src.sum.exchange(0, std::memory_order_relaxed);  // relaxed: see above
-    const std::uint64_t mn = src.min.exchange(
-        ~std::uint64_t{0}, std::memory_order_relaxed);  // relaxed: see above
-    const std::uint64_t mx =
-        src.max.exchange(0, std::memory_order_relaxed);  // relaxed: see above
-    // No early exit on count == 0: a sample whose count RMW missed this
-    // fold may still have landed its sum, min or max in it.
-    dst.count += count;
-    dst.sum += static_cast<double>(sum);
-    dst.min = std::min(dst.min, mn);
-    dst.max = std::max(dst.max, mx);
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      // relaxed: same per-cell atomicity argument as the exchanges above.
-      dst.histogram[b] +=
-          src.histogram[b].exchange(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-ProfilerSnapshot Profiler::snapshot() {
-  MutexLock lock(reader_mu_);
-  fold_and_reset();
-
+ProfilerSnapshot Profiler::snapshot() const {
+  MutexLock lock(mu_);
   ProfilerSnapshot out;
   for (std::size_t s = 0; s < kProfileStages; ++s) {
-    const CumulativeStage& c = cumulative_[s];
+    const CumulativeStage& c = stages_[s];
     ProfileStageStats& stats = out.stages[s];
     stats.count = c.count;
     stats.sum = c.sum;

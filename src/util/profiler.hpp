@@ -1,16 +1,10 @@
-// Always-on serving profiler: atomic per-stage counters (count/avg/min/max)
-// plus a log-linear latency histogram per stage, in one buffer that readers
-// drain without ever blocking writers.
-//
-// The discipline is that of a real-time engine's profiler: recording a
-// sample is a handful of relaxed atomic RMWs into the live buffer — no
-// locks, no allocation, cheap enough to leave on in production.  A reader
-// (stats export, bench report) folds the buffer into a cumulative snapshot
-// under its own mutex, draining it cell by cell with atomic exchanges.
-// Each of a writer's RMWs lands either before or after its cell's
-// exchange, so this snapshot or the next one counts it: a sample is never
-// lost.  A sample recorded during a fold may have its count in one
-// snapshot and its sum in the next — harmless slack for telemetry.
+// Always-on serving profiler: per-stage counters (count/avg/min/max) plus a
+// log-linear latency histogram per stage, in one buffer guarded by one
+// mutex.  record() and snapshot() take the same lock, so a snapshot is
+// exact: every sample recorded before it is in it whole, and no part of a
+// later one is.  The audit path records a handful of samples per request
+// against hundreds of milliseconds of inspection, so the lock is cheap
+// enough to leave on in production.
 //
 // Stages are a fixed enum: the audit path records wall time for resolve /
 // inspect / whole-request / queue-wait, and instantaneous values (queue
@@ -21,7 +15,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -36,7 +29,7 @@ enum class ProfileStage : std::size_t {
   kInspect,       ///< BpromDetector::inspect wall time (ns)
   kRequest,       ///< whole per-request audit wall time (ns)
   kQueueWait,     ///< async batch: submit -> worker pickup (ns)
-  kQueueDepth,    ///< async ring occupancy sampled at submit/pickup (items)
+  kQueueDepth,    ///< async queue occupancy sampled at pickup (items)
   kBatch,         ///< whole async batch wall time, pickup -> done (ns)
   kStageCount,
 };
@@ -84,32 +77,13 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  /// Record one sample (relaxed atomics into the live buffer).
+  /// Record one sample.
   void record(ProfileStage stage, std::uint64_t value);
 
-  /// Cumulative statistics since construction: drains the live buffer
-  /// into the running totals and returns them.  Readers serialize among
-  /// themselves on an internal mutex; writers never touch it.
-  ProfilerSnapshot snapshot();
+  /// Cumulative statistics since construction.
+  ProfilerSnapshot snapshot() const;
 
  private:
-  struct StageCounters {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> min{~std::uint64_t{0}};
-    std::atomic<std::uint64_t> max{0};
-    std::array<std::atomic<std::uint64_t>, kBuckets> histogram{};
-  };
-
-  /// Drain stages_ into cumulative_, leaving every cell at its identity.
-  void fold_and_reset() BPROM_REQUIRES(reader_mu_);
-
-  /// Writers land relaxed RMWs here; deliberately NOT guarded by
-  /// reader_mu_ — the per-cell atomics are the synchronization, the mutex
-  /// only serializes readers.
-  std::array<StageCounters, kProfileStages> stages_;
-
-  Mutex reader_mu_;
   struct CumulativeStage {
     std::uint64_t count = 0;
     std::uint64_t min = ~std::uint64_t{0};
@@ -117,8 +91,9 @@ class Profiler {
     double sum = 0.0;
     std::array<std::uint64_t, kBuckets> histogram{};
   };
-  std::array<CumulativeStage, kProfileStages> cumulative_
-      BPROM_GUARDED_BY(reader_mu_);
+
+  mutable Mutex mu_;
+  std::array<CumulativeStage, kProfileStages> stages_ BPROM_GUARDED_BY(mu_);
 };
 
 /// RAII wall-clock sample: records the scope's duration in nanoseconds.

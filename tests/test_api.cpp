@@ -2,6 +2,7 @@
 // rollover, async batched audits, and every typed error path — none of
 // which may throw or abort across the api boundary.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
@@ -479,7 +480,7 @@ TEST(ApiEngine, DeadlineAlreadyExpiredFailsBeforeAnyQuery) {
   ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
   // audit() anchors its clock at entry; force the pre-start path through
   // the async surface, whose clock anchors at submission.  A gated audit
-  // holds the one serving worker, so the 1ms request waits in the ring for
+  // holds the one serving worker, so the 1ms request waits in the queue for
   // at least the 10ms sleep and its deadline has expired when its turn
   // comes.
   std::atomic<bool> started{false};
@@ -547,7 +548,7 @@ TEST(ApiEngine, AsyncVerdictsMatchSyncThroughTheRing) {
   api::AuditEngine engine({.store_dir = fresh_dir("bprom_api_ringdet")});
   ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
 
-  // The ring hand-off must not perturb determinism: the same batch through
+  // The queue hand-off must not perturb determinism: the same batch through
   // audit() and audit_async() yields bit-identical verdicts (salts depend
   // on batch index only, never on which worker popped the job).
   nn::BlackBoxAdapter sync0(*fixture().suspicious.model);
@@ -618,20 +619,37 @@ TEST(ApiEngine, DestructorDrainsQueuedAsyncBatches) {
                              .async_queue_capacity = 4,
                              .async_workers = 1});
     ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
-    // More batches than workers: some are still queued in the ring when
-    // the engine starts tearing down.  Every future must still resolve.
+    // More batches than workers: some are still queued when the engine
+    // starts tearing down.  Every future must still resolve.
     for (int i = 0; i < 6; ++i) {
       boxes.push_back(std::make_unique<nn::BlackBoxAdapter>(
           *fixture().suspicious.model));
       futures.push_back(engine.audit_async(
           {request_for("aud", boxes.back().get(), "m" + std::to_string(i))}));
     }
-  }  // ~AuditEngine: close ring, drain, join
+  }  // ~AuditEngine: close the queue, drain, join
   for (auto& future : futures) {
     const auto responses = future.get();  // must not hang or throw
     ASSERT_EQ(responses.size(), 1U);
     EXPECT_TRUE(responses[0].status.ok());
   }
+}
+
+TEST(ApiEngine, IdleEngineWorkersBlock) {
+  // An engine with no async work must not poll: its serving workers sleep
+  // until a batch or close() arrives.  Context switches, not CPU time,
+  // because sanitizer builds inflate CPU time.
+  api::AuditEngine engine({.store_dir = fresh_dir("bprom_api_idle")});
+  ASSERT_TRUE(engine.status().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // settle
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  const long switches = (after.ru_nvcsw - before.ru_nvcsw) +
+                        (after.ru_nivcsw - before.ru_nivcsw);
+  EXPECT_LT(switches, 100) << "context switches in 500 ms of idling";
 }
 
 TEST(ApiEngine, LegacyUnversionedContainersResolveAsV1) {

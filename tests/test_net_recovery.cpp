@@ -4,10 +4,11 @@
 // serving), the never-retry rule for typed application rejections, and the
 // graceful drain protocol (kShutdownRequest and begin_drain()).
 //
-// Failpoints only fire in the poll-based timeout IO helpers, and the
-// server's epoll loops use raw ::send/::recv — so arming net.* here
-// injects faults into the CLIENT side only, even though both ends share
-// the process.
+// The net.* failpoints live in the client's socket helpers
+// (net::connect_to / send_all / recv_some), which every client uses with or
+// without deadlines, and the server's epoll loops use raw ::send/::recv —
+// so arming net.* here injects faults into the CLIENT side only, even
+// though both ends share the process.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -92,8 +93,8 @@ struct Serving {
   std::optional<net::Server> server;
 };
 
-/// Bounded client (all transport deadlines set, so every byte of IO runs
-/// through the poll helpers where the net.* failpoints live).
+/// Client with every transport deadline set, so a fault that wedges the
+/// connection fails the test on a deadline instead of hanging it.
 net::ClientConfig bounded_config(std::uint16_t port,
                                  net::RetryPolicy retry = {}) {
   net::ClientConfig config;
@@ -119,8 +120,8 @@ class NetRecovery : public ::testing::Test {
 
 TEST_F(NetRecovery, RecvTimeoutSurfacesDeadlineExceeded) {
   // A listener that never accepts: the kernel completes the handshake into
-  // the backlog, then nothing ever answers.  Legacy blocking clients would
-  // hang here forever — the configured recv deadline must not.
+  // the backlog, then nothing ever answers.  A client without a recv
+  // deadline would hang here forever — the configured deadline must not.
   auto listener = net::listen_on("127.0.0.1", 0, 4);
   ASSERT_TRUE(listener.ok());
   auto port = net::local_port(listener.value().fd());
@@ -143,6 +144,37 @@ TEST_F(NetRecovery, RecvTimeoutSurfacesDeadlineExceeded) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             2000);
+}
+
+TEST_F(NetRecovery, ClientFailpointsFireWithoutTimeouts) {
+  // A default ClientConfig sets no transport deadline, as example_net_demo
+  // and the benchmark's clients do; its IO must still pass every net.*
+  // failpoint site.
+  const std::string dir = fresh_dir("bprom_netrec_notimeout");
+  api::AuditEngine engine({.store_dir = dir});
+  net::Server server(engine, net::ServerConfig{});
+  ASSERT_TRUE(server.start().ok());
+  net::ClientConfig config;
+  config.port = server.port();
+
+  arm("net.connect=1->err");
+  auto refused = net::Client::connect(config);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), api::StatusCode::kInternal)
+      << refused.status().to_string();
+  EXPECT_EQ(util::failpoint_hits("net.connect"), 1U);
+
+  arm("net.recv=1->err");
+  auto client = net::Client::connect(config);
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+  auto stats = client.value().stats();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), api::StatusCode::kInternal)
+      << stats.status().to_string();
+  EXPECT_EQ(util::failpoint_hits("net.recv"), 1U);
+
+  server.stop();
+  fs::remove_all(dir);
 }
 
 TEST_F(NetRecovery, ConnectFaultIsTypedAndTransient) {

@@ -86,17 +86,19 @@ api::AuditResponse in_process_response(api::AuditEngine& engine) {
   return responses[0];
 }
 
-/// Raw TCP connection for hand-crafted (malformed) frames.
+/// Raw TCP connection for hand-crafted (malformed) frames.  Timeout 0:
+/// every socket wait is unbounded.
 class RawConn {
  public:
   explicit RawConn(std::uint16_t port) {
-    auto sock = net::connect_to("127.0.0.1", port);
+    auto sock = net::connect_to("127.0.0.1", port, 0);
     EXPECT_TRUE(sock.ok()) << sock.status().to_string();
     if (sock.ok()) sock_ = std::move(sock).value();
   }
 
   void send(const std::vector<std::uint8_t>& bytes) {
-    EXPECT_TRUE(net::send_all(sock_.fd(), bytes.data(), bytes.size()).ok());
+    EXPECT_TRUE(
+        net::send_all(sock_.fd(), bytes.data(), bytes.size(), 0).ok());
   }
 
   bool read_frame(net::FrameHeader* header, std::vector<std::uint8_t>* body) {
@@ -106,7 +108,7 @@ class RawConn {
       if (next == net::FrameAssembler::Next::kFrame) return true;
       if (next == net::FrameAssembler::Next::kError) return false;
       std::size_t got = 0;
-      if (!net::recv_some(sock_.fd(), buf, sizeof(buf), &got).ok()) {
+      if (!net::recv_some(sock_.fd(), buf, sizeof(buf), &got, 0).ok()) {
         return false;
       }
       if (got == 0) return false;
@@ -128,7 +130,7 @@ class RawConn {
     std::uint8_t buf[256];
     for (;;) {
       std::size_t got = 0;
-      if (!net::recv_some(sock_.fd(), buf, sizeof(buf), &got).ok()) {
+      if (!net::recv_some(sock_.fd(), buf, sizeof(buf), &got, 0).ok()) {
         return true;
       }
       if (got == 0) return true;
@@ -573,6 +575,37 @@ TEST(NetServer, IdleConnectionsAreReaped) {
   EXPECT_TRUE(conn.closed_by_server());
   EXPECT_EQ(server.counters().connections_idle_closed, 1U);
   EXPECT_EQ(server.counters().connections_active, 0U);
+
+  server.stop();
+}
+
+TEST(NetServer, IdleSweepSparesAConnectionWithAnAuditInFlight) {
+  const std::string dir = fresh_dir("bprom_net_idle_inflight");
+  api::AuditEngine engine({.store_dir = dir});
+  ASSERT_TRUE(engine.publish("market", fixture().detector).ok());
+  net::ServerConfig config;
+  config.idle_timeout_ms = 10;  // the IO loop sweeps every 10 ms
+  net::Server server(engine, config);
+  ASSERT_TRUE(server.start().ok());
+
+  // The connection sends nothing while its one audit runs, so every sweep
+  // during the audit sees it silent for longer than the timeout; only the
+  // audit in flight keeps it open until the response is owed and sent.
+  net::AuditRequestMsg msg;
+  msg.model_id = "busy";
+  msg.detector = "market";
+  io::Writer writer;
+  net::encode_audit_request(writer, msg, *fixture().suspicious.model);
+  RawConn conn(server.port());
+  conn.send(net::encode_frame(net::MsgType::kAuditRequest, 1, writer));
+  net::FrameHeader header;
+  std::vector<std::uint8_t> body;
+  ASSERT_TRUE(conn.read_frame(&header, &body));
+  ASSERT_EQ(header.type, net::MsgType::kAuditResponse);
+  io::Reader reader(std::move(body));
+  const net::AuditResponseMsg response = net::decode_audit_response(reader);
+  EXPECT_TRUE(response.status.ok()) << response.status.to_string();
+  EXPECT_GT(response.seconds, 0.020);  // sweeps ran while it was in flight
 
   server.stop();
 }

@@ -1,17 +1,21 @@
 // Unit tests for bprom::util — RNG determinism and distribution sanity,
-// table rendering, thread-pool correctness, env knobs.
+// table rendering, thread-pool correctness, env knobs, the bounded queue
+// and the profiler.  CI also runs this suite under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "util/bounded_queue.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/profiler.hpp"
@@ -248,6 +252,135 @@ TEST(Env, EnvSizeFallback) {
   EXPECT_EQ(env_size("BPROM_DEFINITELY_UNSET_VAR", 77u), 77u);
 }
 
+TEST(BoundedQueue, FifoOrderSingleThread) {
+  BoundedQueue<int> queue(8);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(queue.push(int{i}));
+  EXPECT_EQ(queue.size(), 8U);
+  for (int i = 0; i < 8; ++i) {
+    int out = -1;
+    ASSERT_TRUE(queue.pop(out));
+    EXPECT_EQ(out, i);
+  }
+  EXPECT_EQ(queue.size(), 0U);
+}
+
+TEST(BoundedQueue, MoveOnlyElements) {
+  BoundedQueue<std::unique_ptr<int>> queue(4);
+  ASSERT_TRUE(queue.push(std::make_unique<int>(7)));
+  std::unique_ptr<int> out;
+  ASSERT_TRUE(queue.pop(out));
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(*out, 7);
+  // The destructor frees what is still queued exactly once (ASan would
+  // flag a leak or a double free).
+  ASSERT_TRUE(queue.push(std::make_unique<int>(8)));
+}
+
+TEST(BoundedQueue, CloseStopsPushesButDrainsPops) {
+  BoundedQueue<int> queue(8);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(queue.push(int{i}));
+  queue.close();
+  int refused = 99;
+  EXPECT_FALSE(queue.push(std::move(refused)));
+  EXPECT_EQ(refused, 99);  // a refused push leaves the value untouched
+  // Everything queued before close() is still handed out, in order...
+  for (int i = 0; i < 5; ++i) {
+    int out = -1;
+    ASSERT_TRUE(queue.pop(out));
+    EXPECT_EQ(out, i);
+  }
+  // ...and only then does pop report closed.
+  int out = -1;
+  EXPECT_FALSE(queue.pop(out));
+}
+
+TEST(BoundedQueue, ShutdownWhileFullWakesBlockedProducer) {
+  BoundedQueue<int> queue(2);
+  ASSERT_TRUE(queue.push(1));
+  ASSERT_TRUE(queue.push(2));
+
+  // A producer blocked on a full queue must wake and fail once the queue
+  // closes — otherwise engine teardown would deadlock behind a stuck
+  // audit_async caller.
+  std::atomic<bool> push_returned{false};
+  std::atomic<bool> push_result{true};
+  std::thread producer([&] {
+    push_result.store(queue.push(3));
+    push_returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(push_returned.load());  // genuinely blocked on backpressure
+  queue.close();
+  producer.join();
+  EXPECT_TRUE(push_returned.load());
+  EXPECT_FALSE(push_result.load());
+
+  // The two queued items still drain.
+  int out = -1;
+  EXPECT_TRUE(queue.pop(out));
+  EXPECT_TRUE(queue.pop(out));
+  EXPECT_FALSE(queue.pop(out));
+}
+
+TEST(BoundedQueue, BackpressureUnblocksWhenConsumerFrees) {
+  // Capacity is exact: three items fill a capacity-3 queue.
+  BoundedQueue<int> queue(3);
+  for (int i = 1; i <= 3; ++i) ASSERT_TRUE(queue.push(int{i}));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(queue.push(4));
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());  // the fourth push waits for room
+  int out = -1;
+  ASSERT_TRUE(queue.pop(out));  // frees a slot; the producer completes
+  EXPECT_EQ(out, 1);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  for (int want = 2; want <= 4; ++want) {
+    ASSERT_TRUE(queue.pop(out));
+    EXPECT_EQ(out, want);
+  }
+}
+
+TEST(BoundedQueue, StressDeliversEveryItemExactlyOnce) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kConsumers = 4;
+  constexpr std::uint64_t kPerProducer = 20000;
+  BoundedQueue<std::uint64_t> queue(16);  // small: forces heavy contention
+
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&queue, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        ASSERT_TRUE(queue.push(p * kPerProducer + i));
+      }
+    });
+  }
+
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> popped{0};
+  std::vector<std::thread> consumers;
+  for (std::size_t c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&] {
+      std::uint64_t value = 0;
+      while (queue.pop(value)) {
+        sum.fetch_add(value);
+        popped.fetch_add(1);
+      }
+    });
+  }
+
+  for (auto& t : producers) t.join();
+  queue.close();  // producers are done: consumers drain and exit
+  for (auto& t : consumers) t.join();
+
+  const std::uint64_t n = kProducers * kPerProducer;
+  EXPECT_EQ(popped.load(), n);
+  EXPECT_EQ(sum.load(), n * (n - 1) / 2);  // 0..n-1 each exactly once
+}
+
 TEST(Profiler, CountMinMaxAvgExact) {
   Profiler profiler;
   profiler.record(ProfileStage::kResolve, 100);
@@ -350,27 +483,46 @@ TEST(Profiler, PercentilesWithinOneSixteenthOfTheExactSample) {
 
 TEST(Profiler, ConcurrentWritersLoseNoSamples) {
   Profiler profiler;
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 50000;
+  // Long enough that snapshots land inside writers' record() calls: a
+  // profiler whose snapshot can fall between one sample's count and sum
+  // updates tears hundreds of snapshots per run at this size.
+  constexpr std::size_t kThreads = 3;
+  constexpr std::size_t kPerThread = 500000;
+  constexpr std::uint64_t kConstant = 1000;
+  std::atomic<std::size_t> finished{0};
   std::vector<std::thread> writers;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&profiler] {
+    writers.emplace_back([&profiler, &finished] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
         profiler.record(ProfileStage::kQueueWait, (i % 7) + 1);
+        profiler.record(ProfileStage::kBatch, kConstant);
       }
+      finished.fetch_add(1);
     });
   }
-  // A reader flipping epochs mid-stream must not lose or tear samples.
-  for (int i = 0; i < 50; ++i) {
-    (void)profiler.snapshot();
+  // Snapshots taken while the writers record must neither lose nor tear a
+  // sample: on the constant stage, every one must hold whole samples only.
+  std::size_t snapshots = 0;
+  std::size_t torn = 0;
+  while (finished.load() < kThreads) {
+    const ProfileStageStats s = profiler.snapshot()[ProfileStage::kBatch];
+    ++snapshots;
+    const bool whole =
+        s.sum == static_cast<double>(kConstant * s.count) &&
+        (s.count == 0 || (s.min == kConstant && s.max == kConstant));
+    if (!whole) ++torn;
     std::this_thread::yield();
   }
   for (auto& w : writers) w.join();
+  EXPECT_EQ(torn, 0U) << "of " << snapshots << " mid-stream snapshots";
   const ProfilerSnapshot snap = profiler.snapshot();
   const ProfileStageStats& s = snap[ProfileStage::kQueueWait];
   EXPECT_EQ(s.count, kThreads * kPerThread);
   EXPECT_EQ(s.min, 1U);
   EXPECT_EQ(s.max, 7U);
+  const ProfileStageStats& constant = snap[ProfileStage::kBatch];
+  EXPECT_EQ(constant.count, kThreads * kPerThread);
+  EXPECT_EQ(constant.sum, static_cast<double>(kConstant * constant.count));
 }
 
 TEST(Profiler, ScopedProfileRecordsAndNullDisables) {
