@@ -20,6 +20,7 @@
 #include "defenses/model_level.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bench {
 

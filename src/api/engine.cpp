@@ -8,6 +8,7 @@
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bprom::api {
 
@@ -182,9 +183,7 @@ Result<AuditEngine::Resolved> AuditEngine::resolve(
   }
   Resolved resolved;
   try {
-    // Loaded detectors inspect on the engine's executor, like everything
-    // else this engine runs ("fits and audits share one executor").
-    resolved.handle = store_->get(stem, config_.pool);
+    resolved.handle = store_->get(stem);
   } catch (const io::IoError& e) {
     return status_from(e);
   } catch (const std::exception& e) {
@@ -242,9 +241,6 @@ Result<DetectorInfo> AuditEngine::publish(const std::string& name,
   info.source_classes = detector.source_classes();
   info.query_samples = detector.config().query_samples;
   info.path = store_->path_for(stem);
-  // Whatever pool the caller fitted with (possibly a borrowed one about to
-  // die), the published handle inspects on this engine's executor.
-  detector.set_pool(config_.pool);
   try {
     store_->put(stem, std::move(detector));
     // Crash-matrix anchor: the artifact is durable on disk but the
@@ -304,9 +300,7 @@ Result<DetectorInfo> AuditEngine::fit(const FitRequest& request) {
       request.target_test == nullptr) {
     return Status::InvalidRequest("fit request is missing a dataset");
   }
-  core::BpromConfig config = request.config;
-  config.pool = config_.pool;  // fits and audits share one executor
-  core::BpromDetector detector(config);
+  core::BpromDetector detector(request.config);
   try {
     detector.fit(*request.reserved_clean, request.source_classes,
                  *request.target_train, *request.target_test);
@@ -472,7 +466,7 @@ std::vector<AuditResponse> AuditEngine::audit_from(
       }
     }
     response.seconds = watch.seconds();
-  }, pool());
+  });
   return responses;
 }
 

@@ -33,7 +33,6 @@
 #include "util/profiler.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bprom::api {
 
@@ -49,9 +48,6 @@ struct EngineConfig {
   /// (seed, batch index) only, so batches are bit-identical for any thread
   /// count and through audit() or audit_async().
   std::uint64_t seed = 97;
-  /// Pool audits and fits fan out on; nullptr = process-wide default pool
-  /// (BPROM_THREADS).  Borrowed — must outlive the engine.
-  util::ThreadPool* pool = nullptr;
   /// Most async batches queued for the serving workers at once (0 is taken
   /// as 1).  A full queue is backpressure: audit_async blocks until a
   /// worker takes a batch, so a flood of submissions degrades into queueing
@@ -59,8 +55,8 @@ struct EngineConfig {
   /// memory.
   std::size_t async_queue_capacity = 64;
   /// Dedicated serving workers draining the queue.  Each worker runs one
-  /// batch at a time (the batch itself fans out on `pool`), so this is the
-  /// cross-batch concurrency of the async path.
+  /// batch at a time (the batch itself fans out on util::default_pool()),
+  /// so this is the cross-batch concurrency of the async path.
   std::size_t async_workers = 2;
   /// Run DetectorStore::recover() during construction: quarantine torn or
   /// corrupt artifacts, sweep leftover publish temp files, and repair the
@@ -145,14 +141,14 @@ class AuditEngine {
       const std::vector<AuditRequest>& batch);
 
   /// Same semantics, off the calling thread: the batch is handed to the
-  /// serving workers through a bounded queue and audited on the engine's
-  /// pool.  Safe to call concurrently with publish() and from many threads
-  /// at once; the batch audits whatever versions it resolves when a worker
-  /// picks it up.  A full queue blocks the caller (backpressure) until a
-  /// worker takes a batch.  Deadlines anchor at submission, so queue wait
-  /// counts against them.  A wrapper over the callback overload: get()
-  /// never throws, and a batch that dies exceptionally resolves with
-  /// per-request kInternal statuses.
+  /// serving workers through a bounded queue and audited on
+  /// util::default_pool().  Safe to call concurrently with publish() and
+  /// from many threads at once; the batch audits whatever versions it
+  /// resolves when a worker picks it up.  A full queue blocks the caller
+  /// (backpressure) until a worker takes a batch.  Deadlines anchor at
+  /// submission, so queue wait counts against them.  A wrapper over the
+  /// callback overload: get() never throws, and a batch that dies
+  /// exceptionally resolves with per-request kInternal statuses.
   [[nodiscard]] std::future<std::vector<AuditResponse>> audit_async(
       std::vector<AuditRequest> batch);
 
@@ -188,7 +184,6 @@ class AuditEngine {
   /// Newest version of `base` on disk (0 when unpublished).  A bare legacy
   /// "<base>.bprom" container counts as version 1.
   [[nodiscard]] std::uint32_t latest_on_disk(const std::string& base) const;
-  [[nodiscard]] util::ThreadPool* pool() const { return config_.pool; }
 
   EngineConfig config_;
   Status init_status_;

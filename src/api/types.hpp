@@ -85,8 +85,7 @@ struct FitRequest {
   const nn::LabeledData* reserved_clean = nullptr;  // D_S
   const nn::LabeledData* target_train = nullptr;    // D_T train split
   const nn::LabeledData* target_test = nullptr;     // D_T test split
-  /// Detector hyper-parameters.  The engine overrides `config.pool` with its
-  /// own pool so fits and audits share one executor.
+  /// Detector hyper-parameters.
   core::BpromConfig config{};
 };
 

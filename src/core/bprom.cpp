@@ -8,6 +8,7 @@
 
 #include "data/ops.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bprom::core {
 namespace {
@@ -251,7 +252,7 @@ void BpromDetector::fit(const nn::LabeledData& reserved_clean,
     labels[i] = is_backdoor ? 1 : 0;
     util::log_debug() << "shadow " << i << (is_backdoor ? " (backdoor)" : " (clean)")
                       << " prompted acc " << shadow_acc[i];
-  }, config_.pool);
+  });
 
   // Collected after the join so diagnostics keep the serial ordering (clean
   // shadows first, ascending index) regardless of completion order.
@@ -345,7 +346,7 @@ Verdict BpromDetector::inspect(const nn::BlackBoxModel& suspicious,
         target_train_.size() + query_set_.size() + target_test_.size();
     member.exhausted = bb.budget_exhausted;
     member.ran = true;
-  }, config_.pool);
+  });
 
   Verdict verdict;
   bool all_ran = true;

@@ -25,7 +25,6 @@
 #include "meta/random_forest.hpp"
 #include "nn/arch.hpp"
 #include "nn/blackbox.hpp"
-#include "util/thread_pool.hpp"
 #include "vp/train_blackbox.hpp"
 #include "vp/train_whitebox.hpp"
 
@@ -65,16 +64,6 @@ struct BpromConfig {
   /// On by default — the measured ablation (bench_ablations) favours the
   /// combined feature set; disable to use summaries only.
   bool include_query_features = true;
-  /// Pool used to train/prompt the shadow population in parallel and to run
-  /// the inspection prompt ensemble, whose members query the suspicious
-  /// model concurrently; nullptr selects the process-wide pool
-  /// (BPROM_THREADS).  Results are identical for any thread count: each
-  /// shadow draws from an Rng stream pre-split from the root seed on the
-  /// calling thread, and each ensemble member is seeded by its index.  A
-  /// non-null pool is borrowed, not owned — it must outlive every detector
-  /// constructed from this config (both fit() and inspect() dereference
-  /// it).
-  util::ThreadPool* pool = nullptr;
   /// Sort each query's confidence vector descending before concatenation.
   /// Makes the meta features invariant to which class the attacker targets
   /// (the paper compensates with many more trees/shadows; see DESIGN.md §2).
@@ -178,18 +167,12 @@ class BpromDetector {
 
   [[nodiscard]] const FitDiagnostics& diagnostics() const { return diag_; }
   [[nodiscard]] const BpromConfig& config() const { return config_; }
-  /// Reroute the pool fit()/inspect() fan out on (nullptr = process-wide
-  /// pool).  Serving layers call this so detectors they publish or load
-  /// run on *their* executor: the pool is runtime-only state that is never
-  /// persisted, so a loaded detector would otherwise silently fall back to
-  /// the global pool.  Borrowed; must outlive every later fit()/inspect().
-  void set_pool(util::ThreadPool* pool) { config_.pool = pool; }
   [[nodiscard]] bool fitted() const { return fitted_; }
   /// K_S the detector was fitted for (0 before fit()).
   [[nodiscard]] std::size_t source_classes() const { return source_classes_; }
 
-  /// Binary persistence of the whole fitted detector: config (minus the
-  /// borrowed pool pointer), D_T splits, D_Q, forest, and diagnostics.
+  /// Binary persistence of the whole fitted detector: config, D_T splits,
+  /// D_Q, forest, and diagnostics.
   /// A loaded detector inspects with identical scores in a fresh process.
   /// Implemented in io/serialize.cpp; save() throws io::IoError when the
   /// detector is not fitted.

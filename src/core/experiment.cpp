@@ -4,6 +4,7 @@
 
 #include "data/ops.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bprom::core {
 
@@ -95,7 +96,7 @@ TrainedSuspicious train_backdoored_model(const data::Dataset& dataset,
 std::vector<TrainedSuspicious> build_population(
     const data::Dataset& dataset, const attacks::AttackConfig& attack,
     nn::ArchKind arch, std::size_t per_side, std::uint64_t seed,
-    const ExperimentScale& scale, util::ThreadPool* pool) {
+    const ExperimentScale& scale) {
   // Every model draws from a seed derived only from its index, so training
   // the population in parallel reproduces the serial result bit-for-bit.
   std::vector<TrainedSuspicious> population(2 * per_side);
@@ -114,7 +115,7 @@ std::vector<TrainedSuspicious> build_population(
     atk.seed = vary.next_u64();
     population[i] =
         train_backdoored_model(dataset, atk, arch, seed * 3000 + j, scale);
-  }, pool);
+  });
   return population;
 }
 
@@ -140,8 +141,7 @@ BpromConfig default_bprom_config(const ExperimentScale& scale,
 BpromDetector fit_detector(const data::Dataset& source,
                            const data::Dataset& target,
                            double reserved_fraction, nn::ArchKind shadow_arch,
-                           std::uint64_t seed, const ExperimentScale& scale,
-                           util::ThreadPool* pool) {
+                           std::uint64_t seed, const ExperimentScale& scale) {
   util::Rng rng(seed ^ 0xDE7EC7ULL);
   nn::LabeledData reserved =
       data::sample_fraction(source.test, reserved_fraction, rng);
@@ -153,17 +153,14 @@ BpromDetector fit_detector(const data::Dataset& source,
       target.train,
       rng.sample_without_replacement(target.train.size(), prompt_n));
 
-  BpromConfig cfg = default_bprom_config(scale, shadow_arch, seed);
-  cfg.pool = pool;
-  BpromDetector detector(cfg);
+  BpromDetector detector(default_bprom_config(scale, shadow_arch, seed));
   detector.fit(reserved, source.profile.classes, dt_train, target.test);
   return detector;
 }
 
 PopulationScores score_population(
     const BpromDetector& detector,
-    const std::vector<TrainedSuspicious>& population,
-    util::ThreadPool* pool) {
+    const std::vector<TrainedSuspicious>& population) {
   PopulationScores out;
   out.scores.resize(population.size());
   out.labels.resize(population.size());
@@ -171,19 +168,17 @@ PopulationScores score_population(
     nn::BlackBoxAdapter adapter(*population[i].model);
     out.scores[i] = detector.score(adapter);
     out.labels[i] = population[i].backdoored ? 1 : 0;
-  }, pool);
+  });
   return out;
 }
 
 CellResult evaluate_cell(const BpromDetector& detector,
                          const data::Dataset& source,
                          const attacks::AttackConfig& attack, nn::ArchKind arch,
-                         std::uint64_t seed, const ExperimentScale& scale,
-                         util::ThreadPool* pool) {
+                         std::uint64_t seed, const ExperimentScale& scale) {
   auto population = build_population(source, attack, arch,
-                                     scale.population_per_side, seed, scale,
-                                     pool);
-  auto scores = score_population(detector, population, pool);
+                                     scale.population_per_side, seed, scale);
+  auto scores = score_population(detector, population);
   CellResult cell;
   cell.auroc = scores.auroc();
   cell.f1 = scores.f1();
@@ -203,14 +198,13 @@ CellResult evaluate_cell(const BpromDetector& detector,
 std::vector<CellResult> evaluate_grid(
     const BpromDetector& detector, const data::Dataset& source,
     const std::vector<attacks::AttackKind>& kinds, nn::ArchKind arch,
-    std::uint64_t seed_base, const ExperimentScale& scale,
-    util::ThreadPool* pool) {
+    std::uint64_t seed_base, const ExperimentScale& scale) {
   std::vector<CellResult> cells(kinds.size());
   util::parallel_for(kinds.size(), [&](std::size_t i) {
     cells[i] = evaluate_cell(
         detector, source, attacks::AttackConfig::defaults(kinds[i]), arch,
-        seed_base + static_cast<std::uint64_t>(kinds[i]), scale, pool);
-  }, pool);
+        seed_base + static_cast<std::uint64_t>(kinds[i]), scale);
+  });
   return cells;
 }
 

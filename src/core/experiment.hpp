@@ -49,12 +49,12 @@ TrainedSuspicious train_backdoored_model(const data::Dataset& dataset,
                                          const ExperimentScale& scale);
 
 /// Population of `per_side` clean + `per_side` backdoored models, trained in
-/// parallel on `pool` (nullptr = global pool).  Every model derives from its
-/// own seed, so the population is identical for any thread count.
+/// parallel.  Every model derives from its own seed, so the population is
+/// identical for any thread count.
 std::vector<TrainedSuspicious> build_population(
     const data::Dataset& dataset, const attacks::AttackConfig& attack,
     nn::ArchKind arch, std::size_t per_side, std::uint64_t seed,
-    const ExperimentScale& scale, util::ThreadPool* pool = nullptr);
+    const ExperimentScale& scale);
 
 /// Scale-tuned BPROM configuration for a given source dataset.
 BpromConfig default_bprom_config(const ExperimentScale& scale,
@@ -63,13 +63,10 @@ BpromConfig default_bprom_config(const ExperimentScale& scale,
 
 /// Fit a detector for `source` using `target` as D_T, with D_S equal to
 /// `reserved_fraction` of the source test set (the paper's 1/5/10 %).
-/// A non-null `pool` is stored in the returned detector's config and must
-/// outlive the detector if fit() is ever called on it again.
 BpromDetector fit_detector(const data::Dataset& source,
                            const data::Dataset& target,
                            double reserved_fraction, nn::ArchKind shadow_arch,
-                           std::uint64_t seed, const ExperimentScale& scale,
-                           util::ThreadPool* pool = nullptr);
+                           std::uint64_t seed, const ExperimentScale& scale);
 
 struct PopulationScores {
   std::vector<double> scores;
@@ -85,8 +82,7 @@ struct PopulationScores {
 /// is inspected in parallel — each task queries only its own model.
 PopulationScores score_population(
     const BpromDetector& detector,
-    const std::vector<TrainedSuspicious>& population,
-    util::ThreadPool* pool = nullptr);
+    const std::vector<TrainedSuspicious>& population);
 
 /// Aggregate metrics of one independent (source × attack) bench grid cell:
 /// a population built for one attack, scored by one fitted detector.
@@ -103,8 +99,7 @@ struct CellResult {
 CellResult evaluate_cell(const BpromDetector& detector,
                          const data::Dataset& source,
                          const attacks::AttackConfig& attack, nn::ArchKind arch,
-                         std::uint64_t seed, const ExperimentScale& scale,
-                         util::ThreadPool* pool = nullptr);
+                         std::uint64_t seed, const ExperimentScale& scale);
 
 /// Evaluate one cell per attack kind, sharded over the pool — the cells are
 /// independent and each derives its seed only from its attack kind
@@ -112,7 +107,6 @@ CellResult evaluate_cell(const BpromDetector& detector,
 std::vector<CellResult> evaluate_grid(
     const BpromDetector& detector, const data::Dataset& source,
     const std::vector<attacks::AttackKind>& kinds, nn::ArchKind arch,
-    std::uint64_t seed_base, const ExperimentScale& scale,
-    util::ThreadPool* pool = nullptr);
+    std::uint64_t seed_base, const ExperimentScale& scale);
 
 }  // namespace bprom::core

@@ -8,6 +8,7 @@
 #include "defenses/input_level.hpp"
 #include "defenses/model_level.hpp"
 #include "metrics/roc.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bprom::defenses {
 
@@ -164,12 +165,11 @@ double mmbd_population_score(nn::Model& model) {
   return mmbd_model_score(model);
 }
 
-std::vector<double> mmbd_cohort_scores(const std::vector<nn::Model*>& cohort,
-                                       util::ThreadPool* pool) {
+std::vector<double> mmbd_cohort_scores(const std::vector<nn::Model*>& cohort) {
   std::vector<double> scores(cohort.size(), 0.0);
   util::parallel_for(cohort.size(), [&](std::size_t i) {
     scores[i] = mmbd_model_score(*cohort[i]);
-  }, pool);
+  });
   return scores;
 }
 

@@ -14,7 +14,6 @@
 #include "attacks/poisoner.hpp"
 #include "nn/model.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bprom::defenses {
 
@@ -62,9 +61,8 @@ DefenseEval evaluate_data_level(DefenseKind kind, nn::Model& model,
 double mmbd_population_score(nn::Model& model);
 
 /// Score a suspicious-model cohort with MM-BD, one score per model, in
-/// parallel on `pool` (nullptr = global pool).  Models must be distinct —
-/// each task has exclusive use of its model during scoring.
-std::vector<double> mmbd_cohort_scores(const std::vector<nn::Model*>& cohort,
-                                       util::ThreadPool* pool = nullptr);
+/// parallel.  Models must be distinct — each task has exclusive use of its
+/// model during scoring.
+std::vector<double> mmbd_cohort_scores(const std::vector<nn::Model*>& cohort);
 
 }  // namespace bprom::defenses

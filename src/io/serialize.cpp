@@ -307,7 +307,7 @@ void BpromDetector::save(io::Writer& writer) const {
   }
   writer.write_tag("DTCT");
 
-  // Config (the borrowed pool pointer is runtime-only and not persisted).
+  // Config.
   writer.write_u32(static_cast<std::uint32_t>(config_.shadow_arch));
   writer.write_u64(config_.clean_shadows);
   writer.write_u64(config_.backdoor_shadows);
@@ -395,7 +395,6 @@ BpromDetector BpromDetector::load(io::Reader& reader) {
   config.include_query_features = reader.read_u8() != 0;
   config.sort_confidence_features = reader.read_u8() != 0;
   config.seed = reader.read_u64();
-  config.pool = nullptr;
 
   BpromDetector detector(config);
   detector.source_classes_ = static_cast<std::size_t>(reader.read_u64());

@@ -216,108 +216,73 @@ api::Result<std::vector<api::AuditResponse>> Client::audit_batch(
   return last;
 }
 
-api::Status Client::shutdown() {
+api::Status Client::call(MsgType request, MsgType reply,
+                         const io::Writer& body,
+                         const std::function<void(io::Reader&)>& decode) {
   if (!sock_.valid()) {
     return api::Status::FailedPrecondition("client is not connected");
   }
-  io::Writer writer;
-  encode_shutdown_request(writer);
   const std::uint64_t id = next_id_++;
-  if (api::Status s = send_frame(MsgType::kShutdownRequest, id, writer);
-      !s.ok()) {
-    return s;
-  }
+  if (api::Status s = send_frame(request, id, body); !s.ok()) return s;
   FrameHeader header;
-  std::vector<std::uint8_t> body;
-  if (api::Status s = read_frame(&header, &body); !s.ok()) return s;
+  std::vector<std::uint8_t> reply_body;
+  if (api::Status s = read_frame(&header, &reply_body); !s.ok()) return s;
   if (header.request_id != id) {
     close();
     return api::Status::Internal("server answered the wrong request id");
   }
   try {
-    io::Reader reader(std::move(body));
+    io::Reader reader(std::move(reply_body));
     if (header.type == MsgType::kError) return decode_error(reader).status;
-    if (header.type != MsgType::kShutdownResponse) {
+    if (header.type != reply) {
       close();
       return api::Status::Internal(
-          "server answered shutdown with message type " +
+          "server answered message type " +
+          std::to_string(static_cast<unsigned>(request)) +
+          " with message type " +
           std::to_string(static_cast<unsigned>(header.type)));
     }
-    return decode_shutdown_response(reader).status;
+    decode(reader);
+    return api::Status::Ok();
   } catch (const io::IoError& e) {
     close();
     return status_from_io(e);
   }
+}
+
+api::Status Client::shutdown() {
+  io::Writer writer;
+  encode_shutdown_request(writer);
+  api::Status drain;
+  const api::Status s =
+      call(MsgType::kShutdownRequest, MsgType::kShutdownResponse, writer,
+           [&](io::Reader& r) { drain = decode_shutdown_response(r).status; });
+  return s.ok() ? drain : s;
 }
 
 api::Result<StatsResponseMsg> Client::stats() {
-  if (!sock_.valid()) {
-    return api::Status::FailedPrecondition("client is not connected");
-  }
   io::Writer writer;
   encode_stats_request(writer);
-  const std::uint64_t id = next_id_++;
-  if (api::Status s = send_frame(MsgType::kStatsRequest, id, writer); !s.ok()) {
-    return s;
-  }
-  FrameHeader header;
-  std::vector<std::uint8_t> body;
-  if (api::Status s = read_frame(&header, &body); !s.ok()) return s;
-  if (header.request_id != id) {
-    close();
-    return api::Status::Internal("server answered the wrong request id");
-  }
-  try {
-    io::Reader reader(std::move(body));
-    if (header.type == MsgType::kError) return decode_error(reader).status;
-    if (header.type != MsgType::kStatsResponse) {
-      close();
-      return api::Status::Internal(
-          "server answered stats with message type " +
-          std::to_string(static_cast<unsigned>(header.type)));
-    }
-    return decode_stats_response(reader);
-  } catch (const io::IoError& e) {
-    close();
-    return status_from_io(e);
-  }
+  StatsResponseMsg stats;
+  const api::Status s =
+      call(MsgType::kStatsRequest, MsgType::kStatsResponse, writer,
+           [&](io::Reader& r) { stats = decode_stats_response(r); });
+  if (!s.ok()) return s;
+  return stats;
 }
 
 api::Result<api::DetectorInfo> Client::info(const std::string& detector) {
-  if (!sock_.valid()) {
-    return api::Status::FailedPrecondition("client is not connected");
-  }
   InfoRequestMsg msg;
   msg.detector = detector;
   io::Writer writer;
   encode_info_request(writer, msg);
-  const std::uint64_t id = next_id_++;
-  if (api::Status s = send_frame(MsgType::kInfoRequest, id, writer); !s.ok()) {
-    return s;
-  }
-  FrameHeader header;
-  std::vector<std::uint8_t> body;
-  if (api::Status s = read_frame(&header, &body); !s.ok()) return s;
-  if (header.request_id != id) {
-    close();
-    return api::Status::Internal("server answered the wrong request id");
-  }
-  try {
-    io::Reader reader(std::move(body));
-    if (header.type == MsgType::kError) return decode_error(reader).status;
-    if (header.type != MsgType::kInfoResponse) {
-      close();
-      return api::Status::Internal(
-          "server answered info with message type " +
-          std::to_string(static_cast<unsigned>(header.type)));
-    }
-    InfoResponseMsg response = decode_info_response(reader);
-    if (!response.status.ok()) return response.status;
-    return response.info;
-  } catch (const io::IoError& e) {
-    close();
-    return status_from_io(e);
-  }
+  InfoResponseMsg response;
+  const api::Status s =
+      call(MsgType::kInfoRequest, MsgType::kInfoResponse, writer,
+           [&](io::Reader& r) { response = decode_info_response(r); });
+  if (!s.ok()) return s;
+  if (!response.status.ok()) return response.status;
+  return response.info;
 }
 
 }  // namespace bprom::net

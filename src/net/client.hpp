@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,17 @@ class Client {
   api::Status read_frame(FrameHeader* header, std::vector<std::uint8_t>* body);
   api::Status send_frame(MsgType type, std::uint64_t request_id,
                          const io::Writer& body);
+
+  /// One request/reply round trip for the single-reply calls (stats, info,
+  /// shutdown): send `body` as a `request` frame under a fresh id, read one
+  /// frame back, and hand its body to `decode` when it echoes the id and
+  /// has type `reply`.  Not connected returns kFailedPrecondition; a send or
+  /// recv failure closes the connection and returns its status; a wrong id
+  /// or any other type closes it and returns kInternal; a kError frame
+  /// returns the status it carries; a body that fails to decode closes the
+  /// connection and returns the typed io status.
+  api::Status call(MsgType request, MsgType reply, const io::Writer& body,
+                   const std::function<void(io::Reader&)>& decode);
 
   /// One pipelined send+collect pass over the batch's unanswered slots.
   api::Status audit_round(const std::vector<ClientAuditRequest>& requests,

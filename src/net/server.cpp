@@ -75,11 +75,10 @@ struct Server::IoThread {
   // --- this IoThread's loop only ---
   std::map<int, std::shared_ptr<Connection>> conns;
 
-  // Long-lived IO loop, not batch math: routing it through the
-  // work-assisting ThreadPool would wedge the pool (the loop blocks in
-  // epoll_wait forever), and it never touches order-dependent reductions.
-  // Long-lived epoll pump, owned and joined by Server::stop(); not pool
-  // work (it blocks in epoll_wait, so it can never run on the pool).
+  // Long-lived epoll pump, owned and joined by Server::stop(): routing it
+  // through the work-assisting ThreadPool would wedge the pool (the loop
+  // blocks in epoll_wait forever), and it never touches order-dependent
+  // reductions.
   // bprom-lint: allow(raw-thread)
   std::thread thread;
 
@@ -133,7 +132,6 @@ api::Status Server::start() {
   stopping_.store(false, std::memory_order_release);
   for (std::size_t i = 0; i < n; ++i) {
     // See IoThread::thread for why these are raw threads.
-    // See IoThread::thread: epoll event pumps the pool cannot host.
     io_threads_[i]->thread =
         // bprom-lint: allow(raw-thread)
         std::thread([this, i] { io_loop(*io_threads_[i], i == 0); });

@@ -175,7 +175,7 @@ std::shared_ptr<const core::BpromDetector> DetectorStore::cached_locked(
 }
 
 std::shared_ptr<const core::BpromDetector> DetectorStore::get(
-    const std::string& name, util::ThreadPool* pool_for_loaded) {
+    const std::string& name) {
   {
     util::MutexLock lock(mu_);
     if (auto hit = cached_locked(name)) return hit;
@@ -184,10 +184,8 @@ std::shared_ptr<const core::BpromDetector> DetectorStore::get(
   // lookups; first insertion wins if two threads race on the same name
   // (emplace never overwrites, so the loser adopts the winner's handle and
   // its own load is discarded — both threads hand out one shared detector).
-  core::BpromDetector detector = io::load_detector_file(path_for(name));
-  detector.set_pool(pool_for_loaded);
-  auto loaded =
-      std::make_shared<const core::BpromDetector>(std::move(detector));
+  auto loaded = std::make_shared<const core::BpromDetector>(
+      io::load_detector_file(path_for(name)));
   util::MutexLock lock(mu_);
   return cache_.emplace(name, std::move(loaded)).first->second;
 }

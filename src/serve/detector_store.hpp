@@ -104,12 +104,8 @@ class DetectorStore {
                                                  core::BpromDetector detector);
 
   /// Cached detector, loading from disk on first use.  Throws io::IoError
-  /// when the name has never been stored.  A freshly *loaded* detector gets
-  /// `pool_for_loaded` installed before it is published to the cache (the
-  /// pool is runtime-only and never persisted); cached entries keep the
-  /// pool they already carry.
-  std::shared_ptr<const core::BpromDetector> get(
-      const std::string& name, util::ThreadPool* pool_for_loaded = nullptr);
+  /// when the name has never been stored.
+  std::shared_ptr<const core::BpromDetector> get(const std::string& name);
 
   /// True when `name` is cached or present on disk.
   [[nodiscard]] bool contains(const std::string& name) const;

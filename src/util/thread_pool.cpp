@@ -82,14 +82,20 @@ ScopedPoolOverride::~ScopedPoolOverride() {
 }
 
 ThreadPool& default_pool() {
-  ThreadPool* override = g_pool_override.load();
-  return override != nullptr ? *override : global_pool();
+  if (ThreadPool* override = g_pool_override.load()) return *override;
+  // Values that cannot be meant literally (e.g. BPROM_THREADS=-1 wrapping to
+  // 2^64-1 through strtoull) fall back to hardware concurrency instead of
+  // exhausting the process with thread spawns.
+  static ThreadPool process_pool([] {
+    const std::size_t requested = env_size("BPROM_THREADS", 0);
+    return requested <= 1024 ? requested : std::size_t{0};
+  }());
+  return process_pool;
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  ThreadPool* pool) {
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  ThreadPool* p = pool != nullptr ? pool : &default_pool();
+  ThreadPool& pool = default_pool();
 
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
@@ -115,10 +121,12 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
   // the queue (e.g. all workers blocked in nested parallel_for waits) the
   // loop always completes.  Caller + helpers never exceed the pool size, so
   // a 1-thread pool really is a serial inline loop.
-  const std::size_t helpers = std::min(n - 1, p->size() - 1);
+  const std::size_t helpers = std::min(n - 1, pool.size() - 1);
   std::vector<std::future<void>> futures;
   futures.reserve(helpers);
-  for (std::size_t s = 0; s < helpers; ++s) futures.push_back(p->submit(run_shard));
+  for (std::size_t s = 0; s < helpers; ++s) {
+    futures.push_back(pool.submit(run_shard));
+  }
 
   std::exception_ptr error;
   try {
@@ -134,7 +142,7 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
     // submitted helper is running (or done) on some thread, so a blocking
     // get() terminates.
     while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready &&
-           p->try_run_one()) {
+           pool.try_run_one()) {
     }
     try {
       f.get();
@@ -143,17 +151,6 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
     }
   }
   if (error) std::rethrow_exception(error);
-}
-
-ThreadPool& global_pool() {
-  // Values that cannot be meant literally (e.g. BPROM_THREADS=-1 wrapping to
-  // 2^64-1 through strtoull) fall back to hardware concurrency instead of
-  // exhausting the process with thread spawns.
-  static ThreadPool pool([] {
-    const std::size_t requested = env_size("BPROM_THREADS", 0);
-    return requested <= 1024 ? requested : std::size_t{0};
-  }());
-  return pool;
 }
 
 }  // namespace bprom::util

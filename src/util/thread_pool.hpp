@@ -2,7 +2,8 @@
 // suspicious-model cohorts in parallel.
 //
 // Work items are type-erased closures; parallel_for provides the common
-// index-sharded pattern with exception propagation to the caller.
+// index-sharded pattern with exception propagation to the caller, always on
+// default_pool().
 #pragma once
 
 #include <cstddef>
@@ -48,33 +49,31 @@ class ThreadPool {
   bool stop_ BPROM_GUARDED_BY(mu_) = false;
 };
 
-/// Run body(i) for i in [0, n) across the given pool (defaults to
-/// default_pool()).  The calling thread participates in the work, so nested
-/// calls from pool workers cannot deadlock, and a 1-thread pool degrades to a
-/// serial loop.  Each index is executed exactly once with disjoint outputs
-/// left to the body, so results are independent of thread count whenever the
-/// body is deterministic per index.  Rethrows the first exception
-/// encountered; once a body throws, remaining indices are abandoned.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  ThreadPool* pool = nullptr);
+/// Run body(i) for i in [0, n) across default_pool().  The calling thread
+/// participates in the work, so nested calls from pool workers cannot
+/// deadlock, and a 1-thread pool degrades to a serial loop.  Each index is
+/// executed exactly once with disjoint outputs left to the body, so results
+/// are independent of thread count whenever the body is deterministic per
+/// index.  Rethrows the first exception encountered; once a body throws,
+/// remaining indices are abandoned.
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-/// Process-wide default pool (lazily constructed).  Sized by the
-/// BPROM_THREADS environment variable; unset or 0 means
-/// hardware_concurrency.
-ThreadPool& global_pool();
-
-/// The pool parallel_for uses when no explicit pool is passed: the pool
-/// installed by the innermost live ScopedPoolOverride, or the global pool
-/// when none is installed.
+/// The pool every parallel_for runs on: the pool installed by the innermost
+/// live ScopedPoolOverride, or else the process-wide pool, built on first
+/// use and sized by the BPROM_THREADS environment variable (unset, 0 or
+/// above 1024 means hardware_concurrency).
 ThreadPool& default_pool();
 
-/// Reroute parallel_for's implicit pool for the lifetime of this object.
-/// Lets one process run the same code path under several thread counts —
-/// the determinism tests drive layer backward passes and CMA-ES candidate
-/// evaluation with 1-, 2-, and 8-thread pools this way.  Overrides nest
-/// (destruction restores the previous override).  Install and remove only
-/// from the thread that owns the parallel region, while no implicit-pool
-/// work is in flight.
+/// Reroute every parallel_for in the process to `pool` for the lifetime of
+/// this object — the one way to pin the pool a computation runs on.  The
+/// override is process-wide, so it reaches every nested level at once (an
+/// inspection's prompt-ensemble members, each optimizer generation's
+/// candidate queries, the conv GEMMs inside every query) and also the
+/// batches api::AuditEngine's serve workers audit for audit_async().  The
+/// determinism tests run one code path under 1-, 2-, 4- and 8-thread pools
+/// this way.  Overrides nest (destruction restores the previous override).
+/// Install and remove only from the thread that owns the parallel region,
+/// while no parallel_for work is in flight.
 class ScopedPoolOverride {
  public:
   explicit ScopedPoolOverride(ThreadPool& pool);

@@ -1,5 +1,6 @@
-// Black-box prompt learning for the suspicious model: CMA-ES over theta,
-// scored purely by confidence-vector queries (the paper's Section 5.2).
+// Black-box prompt learning for the suspicious model: SPSA (default) or
+// CMA-ES over theta, scored purely by confidence-vector queries (the
+// paper's Section 5.2).
 #pragma once
 
 #include "nn/blackbox.hpp"
@@ -43,9 +44,10 @@ struct BlackBoxPromptResult {
   bool budget_exhausted = false;
 };
 
-/// Learn theta with CMA-ES; the objective is the cross-entropy of the
-/// prompted confidence vectors on a fixed target subsample.  A generation's
-/// candidates query `model` concurrently.
+/// Learn theta with `config.optimizer` (SPSA by default); the objective is
+/// the cross-entropy of the prompted confidence vectors on a fixed target
+/// subsample.  An optimizer step's candidates (an SPSA {x+, x-} pair, a
+/// CMA-ES generation) query `model` concurrently.
 BlackBoxPromptResult learn_prompt_blackbox(
     const nn::BlackBoxModel& model, const nn::LabeledData& target_train,
     const BlackBoxPromptConfig& config);

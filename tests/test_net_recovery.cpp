@@ -1,8 +1,10 @@
 // Client-side failure recovery over a real loopback server: transport
 // timeouts, injected connect/send/recv faults healed by the reconnect-and-
 // retry policy (bit-identically — the whole point of deterministic
-// serving), the never-retry rule for typed application rejections, and the
-// graceful drain protocol (kShutdownRequest and begin_drain()).
+// serving), the never-retry rule for typed application rejections, the
+// graceful drain protocol (kShutdownRequest and begin_drain()), and the
+// typed failures of replies a real server never sends (wrong request id,
+// wrong message type).
 //
 // The net.* failpoints live in the client's socket helpers
 // (net::connect_to / send_all / recv_some), which every client uses with or
@@ -11,15 +13,23 @@
 // though both ends share the process.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
 #include "core/experiment.hpp"
+#include "io/binary.hpp"
 #include "net/client.hpp"
+#include "net/frame.hpp"
+#include "net/messages.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "nn/arch.hpp"
@@ -106,6 +116,81 @@ net::ClientConfig bounded_config(std::uint16_t port,
   return config;
 }
 
+/// Plays the server for exactly one request: accepts one connection, reads
+/// one frame, and sends back the frame `answer` builds from its header.
+/// Lets a test hand the client replies a real net::Server never sends.
+class OneReplyServer {
+ public:
+  using Answer =
+      std::function<std::vector<std::uint8_t>(const net::FrameHeader&)>;
+
+  explicit OneReplyServer(Answer answer) {
+    auto listener = net::listen_on("127.0.0.1", 0, 1);
+    EXPECT_TRUE(listener.ok()) << listener.status().to_string();
+    if (!listener.ok()) return;
+    listener_ = std::move(listener).value();
+    auto port = net::local_port(listener_.fd());
+    EXPECT_TRUE(port.ok()) << port.status().to_string();
+    if (port.ok()) port_ = port.value();
+    thread_ =
+        std::thread([this, answer = std::move(answer)] { serve(answer); });
+  }
+  ~OneReplyServer() {
+    if (thread_.joinable()) thread_.join();
+  }
+  OneReplyServer(const OneReplyServer&) = delete;
+  OneReplyServer& operator=(const OneReplyServer&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+ private:
+  void serve(const Answer& answer) {
+    pollfd pending{listener_.fd(), POLLIN, 0};
+    if (::poll(&pending, 1, kWaitMs) != 1) return;
+    net::Socket conn(::accept(listener_.fd(), nullptr, nullptr));
+    if (!conn.valid()) return;
+    net::FrameAssembler assembler;
+    net::FrameHeader header;
+    std::vector<std::uint8_t> body;
+    std::uint8_t buf[4096];
+    std::size_t got = 0;
+    for (;;) {
+      const auto next = assembler.next(&header, &body);
+      if (next == net::FrameAssembler::Next::kFrame) break;
+      if (next == net::FrameAssembler::Next::kError) return;
+      if (!net::recv_some(conn.fd(), buf, sizeof(buf), &got, kWaitMs).ok() ||
+          got == 0) {
+        return;
+      }
+      assembler.append(buf, got);
+    }
+    const std::vector<std::uint8_t> reply = answer(header);
+    EXPECT_TRUE(
+        net::send_all(conn.fd(), reply.data(), reply.size(), kWaitMs).ok());
+    // Hold the connection until the client hangs up, so closing this end
+    // can never race the reply.
+    while (net::recv_some(conn.fd(), buf, sizeof(buf), &got, kWaitMs).ok() &&
+           got > 0) {
+    }
+  }
+
+  static constexpr int kWaitMs = 5000;
+  net::Socket listener_;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+/// What stats() returns when the server answers with `answer`, and whether
+/// the client is still connected afterwards.
+std::pair<api::Status, bool> stats_answered_by(OneReplyServer::Answer answer) {
+  OneReplyServer server(std::move(answer));
+  auto client = net::Client::connect(bounded_config(server.port()));
+  EXPECT_TRUE(client.ok()) << client.status().to_string();
+  if (!client.ok()) return {client.status(), false};
+  auto stats = client.value().stats();
+  return {stats.status(), client.value().connected()};
+}
+
 /// Failpoints are process-global; every test starts and ends disarmed.
 class NetRecovery : public ::testing::Test {
  protected:
@@ -144,6 +229,47 @@ TEST_F(NetRecovery, RecvTimeoutSurfacesDeadlineExceeded) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             2000);
+}
+
+TEST_F(NetRecovery, SingleReplyChecksAreTyped) {
+  // A reply echoing another request id: the client can no longer tell
+  // which call the stream answers, so it hangs up.
+  const auto [wrong_id, wrong_id_connected] =
+      stats_answered_by([](const net::FrameHeader& request) {
+        io::Writer body;
+        net::encode_stats_response(body, net::StatsResponseMsg{});
+        return net::encode_frame(net::MsgType::kStatsResponse,
+                                 request.request_id + 1, body);
+      });
+  EXPECT_EQ(wrong_id.code(), api::StatusCode::kInternal)
+      << wrong_id.to_string();
+  EXPECT_FALSE(wrong_id_connected);
+
+  // The right id on the wrong reply type: same verdict.
+  const auto [wrong_type, wrong_type_connected] =
+      stats_answered_by([](const net::FrameHeader& request) {
+        io::Writer body;
+        net::encode_info_response(body, net::InfoResponseMsg{});
+        return net::encode_frame(net::MsgType::kInfoResponse,
+                                 request.request_id, body);
+      });
+  EXPECT_EQ(wrong_type.code(), api::StatusCode::kInternal)
+      << wrong_type.to_string();
+  EXPECT_FALSE(wrong_type_connected);
+
+  // A typed kError frame is the server's answer, passed through as is.
+  const auto [rejected, rejected_connected] =
+      stats_answered_by([](const net::FrameHeader& request) {
+        net::ErrorMsg error;
+        error.status = api::Status::BudgetExhausted("request budget spent");
+        io::Writer body;
+        net::encode_error(body, error);
+        return net::encode_frame(net::MsgType::kError, request.request_id,
+                                 body);
+      });
+  EXPECT_EQ(rejected.code(), api::StatusCode::kBudgetExhausted)
+      << rejected.to_string();
+  EXPECT_TRUE(rejected_connected);
 }
 
 TEST_F(NetRecovery, ClientFailpointsFireWithoutTimeouts) {

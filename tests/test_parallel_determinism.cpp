@@ -1,9 +1,11 @@
 // Determinism regression for the parallel pipeline: the same root seed
 // must yield bit-identical detectors, diagnostics, population scores,
 // layer gradients, trained weights, learned prompts, and query counts no
-// matter how many pool threads execute the work.  ScopedPoolOverride lets
-// one process drive the implicit-pool code paths (layer forward/backward
-// sharding, CMA-ES candidate evaluation) under several thread counts.
+// matter how many pool threads execute the work.  Each case runs under
+// ScopedPoolOverride pools of different sizes; the override reaches every
+// nested parallel level at once (shadow training, the prompt ensemble,
+// optimizer candidate queries, layer forward/backward sharding and the
+// GEMMs), so one process compares whole pipelines across thread counts.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -39,13 +41,14 @@ TEST(ParallelDeterminism, FitDetectorDiagnosticsMatchAcrossThreadCounts) {
   auto tgt = data::make_dataset(data::DatasetKind::kStl10, 12, 400, 200);
   const auto scale = micro_scale();
 
-  util::ThreadPool one(1);
-  util::ThreadPool four(4);
-  auto serial = core::fit_detector(src, tgt, 0.10, nn::ArchKind::kResNet18Mini,
-                                   7, scale, &one);
-  auto parallel = core::fit_detector(src, tgt, 0.10,
-                                     nn::ArchKind::kResNet18Mini, 7, scale,
-                                     &four);
+  const auto fit = [&](std::size_t threads) {
+    util::ThreadPool pool(threads);
+    util::ScopedPoolOverride overridden(pool);
+    return core::fit_detector(src, tgt, 0.10, nn::ArchKind::kResNet18Mini, 7,
+                              scale);
+  };
+  auto serial = fit(1);
+  auto parallel = fit(4);
 
   const auto& a = serial.diagnostics();
   const auto& b = parallel.diagnostics();
@@ -65,18 +68,29 @@ TEST(ParallelDeterminism, PopulationAndScoresMatchAcrossThreadCounts) {
   const auto scale = micro_scale();
   const auto atk = attacks::AttackConfig::defaults(attacks::AttackKind::kBadNets);
 
+  auto detector = core::fit_detector(src, tgt, 0.10,
+                                     nn::ArchKind::kResNet18Mini, 7, scale);
+
+  // Build and score the population twice, every level of both steps on a
+  // 1-thread and then a 4-thread pool.
   util::ThreadPool one(1);
   util::ThreadPool four(4);
-  auto detector = core::fit_detector(src, tgt, 0.10,
-                                     nn::ArchKind::kResNet18Mini, 7, scale,
-                                     &one);
-
-  auto pop_serial = core::build_population(src, atk,
-                                           nn::ArchKind::kResNet18Mini, 2, 40,
-                                           scale, &one);
-  auto pop_parallel = core::build_population(src, atk,
-                                             nn::ArchKind::kResNet18Mini, 2,
-                                             40, scale, &four);
+  std::vector<core::TrainedSuspicious> pop_serial;
+  std::vector<core::TrainedSuspicious> pop_parallel;
+  core::PopulationScores scores_serial;
+  core::PopulationScores scores_parallel;
+  {
+    util::ScopedPoolOverride overridden(one);
+    pop_serial = core::build_population(src, atk, nn::ArchKind::kResNet18Mini,
+                                        2, 40, scale);
+    scores_serial = core::score_population(detector, pop_serial);
+  }
+  {
+    util::ScopedPoolOverride overridden(four);
+    pop_parallel = core::build_population(src, atk, nn::ArchKind::kResNet18Mini,
+                                          2, 40, scale);
+    scores_parallel = core::score_population(detector, pop_parallel);
+  }
   ASSERT_EQ(pop_serial.size(), pop_parallel.size());
   for (std::size_t i = 0; i < pop_serial.size(); ++i) {
     EXPECT_EQ(pop_serial[i].backdoored, pop_parallel[i].backdoored);
@@ -85,8 +99,6 @@ TEST(ParallelDeterminism, PopulationAndScoresMatchAcrossThreadCounts) {
     EXPECT_DOUBLE_EQ(pop_serial[i].asr, pop_parallel[i].asr);
   }
 
-  auto scores_serial = core::score_population(detector, pop_serial, &one);
-  auto scores_parallel = core::score_population(detector, pop_parallel, &four);
   EXPECT_EQ(scores_serial.labels, scores_parallel.labels);
   ASSERT_EQ(scores_serial.scores.size(), scores_parallel.scores.size());
   for (std::size_t i = 0; i < scores_serial.scores.size(); ++i) {
@@ -155,7 +167,7 @@ TEST(ParallelDeterminism, BackwardGradientsMatchAcrossThreadCounts) {
 }
 
 // End-to-end: a full training run (forward + backward + SGD) must produce
-// bit-identical weights for any thread count behind the implicit pool.
+// bit-identical weights for any pool size.
 TEST(ParallelDeterminism, TrainedWeightsMatchAcrossThreadCounts) {
   auto src = data::make_dataset(data::DatasetKind::kCifar10, 21, 300, 100);
   std::vector<std::vector<float>> blobs;

@@ -7,10 +7,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,9 +42,10 @@ core::ExperimentScale micro_scale() {
   return s;
 }
 
-/// Black box that records the row count of every query call, so a test
-/// can pin what one inspection asks the model.  Ensemble members query it
-/// concurrently, so the log takes a mutex.
+/// Black box that records the row count and the calling thread of every
+/// query call, so a test can pin what one inspection asks the model and
+/// from where.  Ensemble members query it concurrently, so the log takes a
+/// mutex.
 class RowLoggingBox final : public nn::BlackBoxModel {
  public:
   explicit RowLoggingBox(const nn::Model& model) : inner_(model) {}
@@ -50,6 +53,7 @@ class RowLoggingBox final : public nn::BlackBoxModel {
     {
       util::MutexLock lock(mu_);
       rows_.push_back(images.dim(0));
+      threads_.insert(std::this_thread::get_id());
     }
     return inner_.predict_proba(images);
   }
@@ -66,12 +70,27 @@ class RowLoggingBox final : public nn::BlackBoxModel {
     util::MutexLock lock(mu_);
     return rows_;
   }
+  /// Distinct threads that have queried this box.
+  [[nodiscard]] std::size_t query_threads() const {
+    util::MutexLock lock(mu_);
+    return threads_.size();
+  }
 
  private:
   nn::BlackBoxAdapter inner_;
   mutable util::Mutex mu_;
   mutable std::vector<std::size_t> rows_ BPROM_GUARDED_BY(mu_);
+  mutable std::set<std::thread::id> threads_ BPROM_GUARDED_BY(mu_);
 };
+
+/// What `run()` returns with every parallel level pinned to a pool of
+/// `threads` threads.
+template <typename Run>
+auto on_threads(std::size_t threads, const Run& run) {
+  util::ThreadPool pool(threads);
+  util::ScopedPoolOverride overridden(pool);
+  return run();
+}
 
 TEST(ModelClone, CloneIsDeepAndLogitIdentical) {
   auto dataset = data::make_dataset(data::DatasetKind::kCifar10, 31, 96, 32);
@@ -103,14 +122,12 @@ TEST(ParallelInspect, VerdictsMatchAcrossThreadCounts) {
   auto tgt = data::make_dataset(data::DatasetKind::kStl10, 34, 300, 160);
   const auto scale = micro_scale();
 
-  util::ThreadPool one(1);
-  util::ThreadPool four(4);
-  auto det_one = core::fit_detector(src, tgt, 0.10,
-                                    nn::ArchKind::kResNet18Mini, 7, scale,
-                                    &one);
-  auto det_four = core::fit_detector(src, tgt, 0.10,
-                                     nn::ArchKind::kResNet18Mini, 7, scale,
-                                     &four);
+  const auto fit = [&] {
+    return core::fit_detector(src, tgt, 0.10, nn::ArchKind::kResNet18Mini, 7,
+                              scale);
+  };
+  auto det_one = on_threads(1, fit);
+  auto det_four = on_threads(4, fit);
 
   auto suspicious = core::train_clean_model(src, nn::ArchKind::kResNet18Mini,
                                             50, scale);
@@ -119,8 +136,9 @@ TEST(ParallelInspect, VerdictsMatchAcrossThreadCounts) {
 
   nn::BlackBoxAdapter box_one(*suspicious.model);
   nn::BlackBoxAdapter box_four(*suspicious.model);
-  const auto serial = det_one.inspect(box_one);
-  const auto parallel = det_four.inspect(box_four);
+  const auto serial = on_threads(1, [&] { return det_one.inspect(box_one); });
+  const auto parallel =
+      on_threads(4, [&] { return det_four.inspect(box_four); });
   EXPECT_EQ(serial.score, parallel.score);
   EXPECT_EQ(serial.prompted_accuracy, parallel.prompted_accuracy);
   EXPECT_EQ(serial.queries, parallel.queries);
@@ -242,9 +260,12 @@ TEST(DetectorStore, ConcurrentFirstGetConvergesOnOneHandle) {
 }
 
 // Through the bprom::api façade, the one batch-audit path: batched
-// verdicts must be bit-identical under 1- and 4-thread engine pools, the
-// async path must match the sync one, and a malformed request must fail
-// typed without sinking the batch.
+// verdicts must be bit-identical under 1- and 4-thread pools, the async
+// path must match the sync one, and a malformed request must fail typed
+// without sinking the batch.  A 1-thread ScopedPoolOverride must pin every
+// level of an audit (the batch loop, the prompt ensemble, the optimizer's
+// candidate queries) to one thread: the caller for audit(), a serve worker
+// for audit_async().
 TEST(AuditEngine, BatchVerdictsAreThreadCountInvariant) {
   auto src = data::make_dataset(data::DatasetKind::kCifar10, 37, 400, 160);
   auto tgt = data::make_dataset(data::DatasetKind::kStl10, 38, 300, 160);
@@ -255,50 +276,69 @@ TEST(AuditEngine, BatchVerdictsAreThreadCountInvariant) {
   auto population = core::build_population(
       src, attacks::AttackConfig::defaults(attacks::AttackKind::kBadNets),
       nn::ArchKind::kResNet18Mini, 1, 40, scale);
-  std::vector<nn::BlackBoxAdapter> boxes;
-  boxes.reserve(2 * population.size());
-  std::vector<api::AuditRequest> batch;
-  for (auto& suspicious : population) {
-    boxes.emplace_back(*suspicious.model);
-    api::AuditRequest request;
-    request.model_id = "model-" + std::to_string(batch.size());
-    request.detector = "aud";
-    request.model = &boxes.back();
-    batch.push_back(request);
-  }
-  api::AuditRequest broken;
-  broken.model_id = "broken";
-  broken.detector = "aud";
-  batch.push_back(broken);
+  // Every run audits its own boxes, so a box's thread log covers one call.
+  const auto batch_over = [&](std::deque<RowLoggingBox>& boxes) {
+    std::vector<api::AuditRequest> batch;
+    for (auto& suspicious : population) {
+      boxes.emplace_back(*suspicious.model);
+      api::AuditRequest request;
+      request.model_id = "model-" + std::to_string(batch.size());
+      request.detector = "aud";
+      request.model = &boxes.back();
+      batch.push_back(request);
+    }
+    api::AuditRequest broken;
+    broken.model_id = "broken";
+    broken.detector = "aud";
+    batch.push_back(broken);
+    return batch;
+  };
+  std::deque<RowLoggingBox> sync_boxes;
+  std::deque<RowLoggingBox> async_boxes;
+  std::deque<RowLoggingBox> parallel_boxes;
+  const auto sync_batch = batch_over(sync_boxes);
+  const auto async_batch = batch_over(async_boxes);
+  const auto parallel_batch = batch_over(parallel_boxes);
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "bprom_test_engine").string();
   std::filesystem::remove_all(dir);
-  util::ThreadPool one(1);
-  util::ThreadPool four(4);
-  api::AuditEngine serial_engine(
-      {.store_dir = dir, .pool = &one});
+  api::AuditEngine serial_engine({.store_dir = dir});
   ASSERT_TRUE(serial_engine.publish("aud", std::move(detector)).ok());
-  api::AuditEngine parallel_engine(
-      {.store_dir = dir, .pool = &four});
-  const auto serial = serial_engine.audit(batch);
-  const auto parallel = parallel_engine.audit_async(batch).get();
+  // The second engine cold-loads the published detector from the store.
+  api::AuditEngine parallel_engine({.store_dir = dir});
+  const auto serial =
+      on_threads(1, [&] { return serial_engine.audit(sync_batch); });
+  const auto serial_async = on_threads(
+      1, [&] { return serial_engine.audit_async(async_batch).get(); });
+  const auto parallel = on_threads(
+      4, [&] { return parallel_engine.audit_async(parallel_batch).get(); });
 
-  ASSERT_EQ(serial.size(), batch.size());
-  ASSERT_EQ(parallel.size(), batch.size());
-  for (std::size_t i = 0; i < population.size(); ++i) {
+  const std::size_t n = population.size();
+  ASSERT_EQ(serial.size(), n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
     EXPECT_TRUE(serial[i].status.ok());
-    EXPECT_EQ(serial[i].model_id, parallel[i].model_id);
     EXPECT_EQ(serial[i].detector_version, "aud@v1");
-    EXPECT_EQ(serial[i].verdict.score, parallel[i].verdict.score);
-    EXPECT_EQ(serial[i].verdict.prompted_accuracy,
-              parallel[i].verdict.prompted_accuracy);
-    EXPECT_EQ(serial[i].verdict.backdoored, parallel[i].verdict.backdoored);
-    EXPECT_EQ(serial[i].verdict.queries, parallel[i].verdict.queries);
+    EXPECT_EQ(sync_boxes[i].query_threads(), 1U) << "audit(), model " << i;
+    EXPECT_EQ(async_boxes[i].query_threads(), 1U)
+        << "audit_async(), model " << i;
   }
   // The malformed request fails typed without sinking the batch.
   EXPECT_EQ(serial.back().status.code(), api::StatusCode::kInvalidRequest);
-  EXPECT_EQ(parallel.back().status.code(), api::StatusCode::kInvalidRequest);
+  for (const auto* other : {&serial_async, &parallel}) {
+    ASSERT_EQ(other->size(), n + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const api::AuditResponse& r = (*other)[i];
+      EXPECT_EQ(r.model_id, serial[i].model_id);
+      EXPECT_EQ(r.detector_version, "aud@v1");
+      EXPECT_EQ(r.verdict.score, serial[i].verdict.score);
+      EXPECT_EQ(r.verdict.prompted_accuracy,
+                serial[i].verdict.prompted_accuracy);
+      EXPECT_EQ(r.verdict.backdoored, serial[i].verdict.backdoored);
+      EXPECT_EQ(r.verdict.queries, serial[i].verdict.queries);
+    }
+    EXPECT_EQ(other->back().status.code(), api::StatusCode::kInvalidRequest);
+  }
   std::filesystem::remove_all(dir);
 }
 

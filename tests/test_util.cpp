@@ -167,18 +167,17 @@ TEST(ThreadPool, ZeroThreadConstructionFallsBackToHardware) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForExceptionOnExplicitPoolLeavesPoolUsable) {
+TEST(ThreadPool, ParallelForExceptionOnOverridePoolLeavesPoolUsable) {
   ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(
-                   16,
-                   [](std::size_t i) {
-                     if (i % 2 == 0) throw std::runtime_error("even");
-                   },
-                   &pool),
+  ScopedPoolOverride overridden(pool);
+  EXPECT_THROW(parallel_for(16,
+                            [](std::size_t i) {
+                              if (i % 2 == 0) throw std::runtime_error("even");
+                            }),
                std::runtime_error);
   // The pool must survive a throwing loop and keep serving work.
   std::atomic<int> counter{0};
-  parallel_for(8, [&](std::size_t) { counter.fetch_add(1); }, &pool);
+  parallel_for(8, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 8);
 }
 
@@ -200,13 +199,11 @@ TEST(ThreadPool, NestedParallelForOnSingleThreadPoolDoesNotDeadlock) {
   // participates and drains the queue, so this completes even with one
   // worker thread.
   ThreadPool pool(1);
+  ScopedPoolOverride overridden(pool);
   std::atomic<int> counter{0};
-  parallel_for(
-      4,
-      [&](std::size_t) {
-        parallel_for(4, [&](std::size_t) { counter.fetch_add(1); }, &pool);
-      },
-      &pool);
+  parallel_for(4, [&](std::size_t) {
+    parallel_for(4, [&](std::size_t) { counter.fetch_add(1); });
+  });
   EXPECT_EQ(counter.load(), 16);
 }
 
@@ -215,14 +212,28 @@ TEST(ThreadPool, NestedParallelForOnSmallPoolDoesNotDeadlock) {
   // worker's nested loop waits on its own helpers — the queue-drain path in
   // parallel_for must keep everything moving.
   ThreadPool pool(2);
+  ScopedPoolOverride overridden(pool);
   std::atomic<int> counter{0};
-  parallel_for(
-      8,
-      [&](std::size_t) {
-        parallel_for(8, [&](std::size_t) { counter.fetch_add(1); }, &pool);
-      },
-      &pool);
+  parallel_for(8, [&](std::size_t) {
+    parallel_for(8, [&](std::size_t) { counter.fetch_add(1); });
+  });
   EXPECT_EQ(counter.load(), 64);
+}
+
+TEST(ThreadPool, OverridesNestAndRestore) {
+  ThreadPool* const process_pool = &default_pool();
+  ThreadPool one(1);
+  ThreadPool two(2);
+  {
+    ScopedPoolOverride outer(one);
+    EXPECT_EQ(&default_pool(), &one);
+    {
+      ScopedPoolOverride inner(two);
+      EXPECT_EQ(&default_pool(), &two);
+    }
+    EXPECT_EQ(&default_pool(), &one);
+  }
+  EXPECT_EQ(&default_pool(), process_pool);
 }
 
 TEST(ThreadPool, ParallelForResultsIndependentOfThreadCount) {
@@ -235,8 +246,14 @@ TEST(ThreadPool, ParallelForResultsIndependentOfThreadCount) {
       out[i] = rng.next_u64();
     };
   };
-  parallel_for(32, work(a), &one);
-  parallel_for(32, work(b), &four);
+  {
+    ScopedPoolOverride overridden(one);
+    parallel_for(32, work(a));
+  }
+  {
+    ScopedPoolOverride overridden(four);
+    parallel_for(32, work(b));
+  }
   EXPECT_EQ(a, b);
 }
 
