@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -65,7 +66,6 @@ AuditEngine::AuditEngine(EngineConfig config)
       async_queue_(config_.async_queue_capacity) {
   try {
     store_.emplace(config_.store_dir);
-    if (config_.recover_on_start) (void)store_->recover();
   } catch (const io::IoError& e) {
     init_status_ = status_from(e);
   } catch (const std::exception& e) {
@@ -131,19 +131,9 @@ void AuditEngine::run_job(AsyncJob& job) {
   job.callback(std::move(responses));
 }
 
-std::uint32_t AuditEngine::latest_floor_locked(const std::string& base) const {
-  auto it = latest_.find(base);
-  return it != latest_.end() ? it->second : 0;
-}
-
 std::uint32_t AuditEngine::latest_on_disk(const std::string& base) const {
   std::uint32_t latest = 0;
   for (const auto& stem : store_->list()) {
-    if (stem == base) {
-      // Legacy unversioned container: counts as version 1.
-      latest = std::max(latest, 1U);
-      continue;
-    }
     std::string b;
     std::uint32_t v = 0;
     if (parse_versioned_name(stem, &b, &v) && b == base) {
@@ -164,23 +154,14 @@ Result<AuditEngine::Resolved> AuditEngine::resolve(
   // path past the rules a bare "../evil" is rejected by.
   if (Status s = validate_name(base); !s.ok()) return s;
   if (!pinned) {
-    // Newest version wins.  The in-memory rollover pointer is only a floor
-    // (this engine's own publishes); the disk scan additionally picks up
-    // versions published over the same directory by other processes.
-    {
-      util::MutexLock lock(state_mu_);
-      version = latest_floor_locked(base);
-    }
-    version = std::max(version, latest_on_disk(base));
+    // Newest version on disk wins, whichever engine published it.
+    version = latest_on_disk(base);
     if (version == 0) {
       return Status::NotFound("no detector published under '" + base + "'");
     }
   }
 
-  std::string stem = versioned_name(base, version);
-  if (version == 1 && !store_->contains(stem) && store_->contains(base)) {
-    stem = base;  // legacy unversioned container standing in for @v1
-  }
+  const std::string stem = versioned_name(base, version);
   Resolved resolved;
   try {
     resolved.handle = store_->get(stem);
@@ -188,14 +169,6 @@ Result<AuditEngine::Resolved> AuditEngine::resolve(
     return status_from(e);
   } catch (const std::exception& e) {
     return Status::Internal(e.what());
-  }
-  if (!pinned) {
-    // Remember the newest version seen by bare lookups.  Pinned resolves
-    // must not touch the pointer: serving an old "name@v1" is routine and
-    // must never drag later bare lookups backwards.
-    util::MutexLock lock(state_mu_);
-    auto& slot = latest_[base];
-    slot = std::max(slot, version);
   }
   resolved.info.name = base;
   resolved.info.version = version;
@@ -217,22 +190,11 @@ Result<DetectorInfo> AuditEngine::publish(const std::string& name,
   // Cross-process exclusivity for the scan-and-write below: the O_EXCL
   // lock file makes "find the latest version, mint the next one, write it"
   // atomic against every other engine publishing into this directory, so
-  // two engines can no longer race the scan and clobber each other's
-  // rollover pointer.  (publish_mu_ already serializes engines sharing
-  // this object; the StoreLock extends that to engines sharing only the
-  // directory.)
+  // no writer can mint name@v(latest + 1) between the scan and the put —
+  // a published name@vN is never overwritten.
   serve::StoreLock store_lock(store_->directory());
-  std::uint32_t latest = latest_on_disk(name);
-  {
-    util::MutexLock lock(state_mu_);
-    latest = std::max(latest, latest_floor_locked(name));
-  }
-  // Never overwrite an existing version file: a published name@vN is
-  // immutable (in-flight audits and pinned requests rely on it).  Under
-  // the StoreLock the contains() walk is authoritative — no concurrent
-  // writer can mint a version between the walk and the put.
-  std::uint32_t next = latest + 1;
-  while (store_->contains(versioned_name(name, next))) ++next;
+  const std::uint32_t latest = latest_on_disk(name);
+  const std::uint32_t next = latest + 1;
   const std::string stem = versioned_name(name, next);
 
   DetectorInfo info;
@@ -242,27 +204,25 @@ Result<DetectorInfo> AuditEngine::publish(const std::string& name,
   info.query_samples = detector.config().query_samples;
   info.path = store_->path_for(stem);
   try {
+    // The rollover itself: once the container is in place, bare-name
+    // lookups resolve to `next`, while handles resolved earlier keep their
+    // shared_ptr to the old version.
     store_->put(stem, std::move(detector));
     // Crash-matrix anchor: the artifact is durable on disk but the
-    // generation bump and rollover have not happened — recovery must
-    // surface name@vN while leaving other engines' change signal intact.
+    // generation bump has not happened — recovery must surface name@vN
+    // while leaving other engines' change signal intact.
     if (auto hit = BPROM_FAILPOINT("store.publish.crash")) {
       (void)hit;
-      return Status::Internal("injected crash between put and rollover");
+      return Status::Internal(
+          "injected crash between put and generation bump");
     }
-    // Still under the StoreLock: the generation counter is the cheap
-    // cross-process "someone published" signal other engines poll.
+    // Still under the StoreLock: the generation counter counts publishes by
+    // every engine over this directory (EngineStats::store_generation).
     store_->bump_generation();
   } catch (const io::IoError& e) {
     return status_from(e);
   } catch (const std::exception& e) {
     return Status::Internal(e.what());
-  }
-  {
-    // The rollover itself: bare-name lookups see `next` from here on, while
-    // handles resolved earlier keep their shared_ptr to the old version.
-    util::MutexLock lock(state_mu_);
-    latest_[name] = next;
   }
   if (latest > 0) {
     // relaxed: statistics tally — stats() reads a snapshot, not a
@@ -274,7 +234,6 @@ Result<DetectorInfo> AuditEngine::publish(const std::string& name,
     // already in flight hold their own shared_ptr; a later pinned request
     // for the old version reloads it from disk on demand.
     store_->evict(versioned_name(name, latest));
-    if (latest == 1) store_->evict(name);  // legacy unversioned alias
   }
   return info;
 }
@@ -324,10 +283,8 @@ Result<std::vector<DetectorInfo>> AuditEngine::list() const {
   std::vector<DetectorInfo> infos;
   for (const auto& stem : store_->list()) {
     DetectorInfo info;
-    info.version = 1;  // legacy unversioned containers stand in for @v1
-    if (!parse_versioned_name(stem, &info.name, &info.version)) {
-      info.name = stem;
-    }
+    // Only "name@vN" stems are published versions; no other stem resolves.
+    if (!parse_versioned_name(stem, &info.name, &info.version)) continue;
     info.path = store_->path_for(stem);
     infos.push_back(std::move(info));
   }

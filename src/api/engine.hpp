@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,13 +57,6 @@ struct EngineConfig {
   /// batch at a time (the batch itself fans out on util::default_pool()),
   /// so this is the cross-batch concurrency of the async path.
   std::size_t async_workers = 2;
-  /// Run DetectorStore::recover() during construction: quarantine torn or
-  /// corrupt artifacts, sweep leftover publish temp files, and repair the
-  /// generation counter before the first request.  Off by default — opening
-  /// a store with a deliberately-corrupt artifact must keep returning typed
-  /// kCorruptArtifact from audits (existing behavior), not silently mutate
-  /// the directory; recovery is an explicit operational choice.
-  bool recover_on_start = false;
 };
 
 /// Exact running totals since construction (relaxed atomics; a snapshot,
@@ -173,16 +165,13 @@ class AuditEngine {
 
   /// Resolve "name" / "name@vN" to a live handle + metadata.
   Result<Resolved> resolve(const std::string& reference);
-  /// Newest version of `base` this engine has published or resolved (the
-  /// in-memory floor the disk scan tops up); 0 when unknown.
-  [[nodiscard]] std::uint32_t latest_floor_locked(const std::string& base)
-      const BPROM_REQUIRES(state_mu_);
   /// Shared batch loop; `batch_clock` anchors deadline_ms (started at
   /// submission by audit_async, at entry by the synchronous audit).
   std::vector<AuditResponse> audit_from(const std::vector<AuditRequest>& batch,
                                         util::Stopwatch batch_clock);
-  /// Newest version of `base` on disk (0 when unpublished).  A bare legacy
-  /// "<base>.bprom" container counts as version 1.
+  /// Newest "base@vN" container on disk (0 when unpublished).  The store
+  /// directory is the one record of what is published: every engine over
+  /// it, in this process or another, resolves and mints from this scan.
   [[nodiscard]] std::uint32_t latest_on_disk(const std::string& base) const;
 
   EngineConfig config_;
@@ -190,15 +179,9 @@ class AuditEngine {
   /// Engaged iff init_status_.ok().
   std::optional<serve::DetectorStore> store_;
 
-  /// Serializes publishes so two concurrent publishes cannot mint the same
-  /// version number.  Always taken before state_mu_ (publish updates the
-  /// rollover pointer at the end of its critical section) — the annotation
-  /// lets clang prove no path inverts the order.
-  util::Mutex publish_mu_ BPROM_ACQUIRED_BEFORE(state_mu_);
-  /// Guards latest_: the in-memory rollover pointer (name -> newest
-  /// version published or resolved by this engine).
-  mutable util::Mutex state_mu_;
-  std::map<std::string, std::uint32_t> latest_ BPROM_GUARDED_BY(state_mu_);
+  /// Serializes this engine's publishes and recoveries, so threads sharing
+  /// the engine queue on a mutex rather than poll the StoreLock.
+  util::Mutex publish_mu_;
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> verdicts_{0};

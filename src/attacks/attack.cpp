@@ -36,10 +36,6 @@ bool is_clean_label(AttackKind kind) {
   return kind == AttackKind::kSig || kind == AttackKind::kLc;
 }
 
-bool is_sample_specific(AttackKind kind) {
-  return kind == AttackKind::kDynamic || kind == AttackKind::kBpp;
-}
-
 AttackConfig AttackConfig::defaults(AttackKind kind, int target_class,
                                     std::uint64_t seed) {
   AttackConfig cfg;

@@ -36,9 +36,6 @@ enum class AttackKind {
 /// class and never change labels.
 [[nodiscard]] bool is_clean_label(AttackKind kind);
 
-/// Sample-specific attacks vary the trigger per input.
-[[nodiscard]] bool is_sample_specific(AttackKind kind);
-
 struct AttackConfig {
   AttackKind kind = AttackKind::kBadNets;
   int target_class = 0;

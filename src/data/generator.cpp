@@ -1,7 +1,6 @@
 #include "data/generator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace bprom::data {
@@ -83,25 +82,6 @@ LabeledData DatasetGenerator::sample(std::size_t n, util::Rng& rng) const {
     shuffled.labels[i] = out.labels[perm[i]];
   }
   return shuffled;
-}
-
-LabeledData DatasetGenerator::sample_class(std::size_t n, int cls,
-                                           util::Rng& rng) const {
-  assert(cls >= 0 && static_cast<std::size_t>(cls) < profile_.classes);
-  LabeledData out;
-  out.images = nn::Tensor({n, profile_.shape.channels, profile_.shape.height,
-                           profile_.shape.width});
-  out.labels.assign(n, cls);
-  std::vector<double> z(profile_.latent_dim);
-  const std::size_t sample_size = profile_.shape.size();
-  const auto& mu = centers_[static_cast<std::size_t>(cls)];
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < z.size(); ++j) {
-      z[j] = mu[j] + profile_.cluster_spread * rng.normal();
-    }
-    render(z.data(), out.images.data() + i * sample_size, rng);
-  }
-  return out;
 }
 
 Dataset make_dataset(const DatasetProfile& prof, std::uint64_t seed,

@@ -30,10 +30,6 @@ class DatasetGenerator {
   /// Draw n labeled samples (classes balanced up to rounding).
   [[nodiscard]] LabeledData sample(std::size_t n, util::Rng& rng) const;
 
-  /// Draw n samples all belonging to `cls`.
-  [[nodiscard]] LabeledData sample_class(std::size_t n, int cls,
-                                         util::Rng& rng) const;
-
   [[nodiscard]] const DatasetProfile& profile() const { return profile_; }
 
  private:

@@ -161,10 +161,6 @@ DefenseEval evaluate_data_level(DefenseKind kind, nn::Model& model,
   return eval;
 }
 
-double mmbd_population_score(nn::Model& model) {
-  return mmbd_model_score(model);
-}
-
 std::vector<double> mmbd_cohort_scores(const std::vector<nn::Model*>& cohort) {
   std::vector<double> scores(cohort.size(), 0.0);
   util::parallel_for(cohort.size(), [&](std::size_t i) {

@@ -57,9 +57,6 @@ DefenseEval evaluate_data_level(DefenseKind kind, nn::Model& model,
                                 const attacks::PoisonResult& poisoned,
                                 std::size_t classes, util::Rng& rng);
 
-/// Model-level evaluation for MM-BD: scores across a model population.
-double mmbd_population_score(nn::Model& model);
-
 /// Score a suspicious-model cohort with MM-BD, one score per model, in
 /// parallel.  Models must be distinct — each task has exclusive use of its
 /// model during scoring.

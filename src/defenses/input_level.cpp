@@ -367,16 +367,4 @@ std::vector<double> cd_scores(nn::Model& model, const Tensor& inputs,
   return scores;
 }
 
-std::vector<double> confidence_scores(nn::Model& model, const Tensor& inputs) {
-  const std::size_t n = inputs.dim(0);
-  const std::size_t k = model.num_classes();
-  Tensor probs = model.predict_proba(inputs);
-  std::vector<double> scores(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = probs.data() + i * k;
-    scores[i] = row[argmax_row(row, k)];
-  }
-  return scores;
-}
-
 }  // namespace bprom::defenses

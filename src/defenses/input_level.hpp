@@ -62,8 +62,4 @@ std::vector<double> ted_scores(nn::Model& model, const Tensor& inputs,
 std::vector<double> cd_scores(nn::Model& model, const Tensor& inputs,
                               std::size_t occluder = 4);
 
-/// IBD-PSC-style helper: softmax confidence of the predicted class (used by
-/// a couple of score fusions and tests).
-std::vector<double> confidence_scores(nn::Model& model, const Tensor& inputs);
-
 }  // namespace bprom::defenses

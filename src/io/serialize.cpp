@@ -153,18 +153,6 @@ std::unique_ptr<nn::Model> load_model_file(const std::string& path) {
   return nn::Model::load(reader);
 }
 
-void save_forest_file(const std::string& path,
-                      const meta::RandomForest& forest) {
-  Writer writer;
-  forest.save(writer);
-  writer.save_file(path);
-}
-
-meta::RandomForest load_forest_file(const std::string& path) {
-  Reader reader = Reader::from_file(path);
-  return meta::RandomForest::load(reader);
-}
-
 void save_detector_file(const std::string& path,
                         const core::BpromDetector& detector) {
   Writer writer;

@@ -37,10 +37,6 @@ vp::VisualPrompt load_prompt(Reader& reader);
 void save_model_file(const std::string& path, nn::Model& model);
 std::unique_ptr<nn::Model> load_model_file(const std::string& path);
 
-void save_forest_file(const std::string& path,
-                      const meta::RandomForest& forest);
-meta::RandomForest load_forest_file(const std::string& path);
-
 void save_detector_file(const std::string& path,
                         const core::BpromDetector& detector);
 core::BpromDetector load_detector_file(const std::string& path);

@@ -33,8 +33,6 @@ class DecisionTree {
   /// P(label = 1).
   [[nodiscard]] double predict_proba(const std::vector<float>& x) const;
 
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-
   /// Binary persistence of the fitted tree structure + leaf stats
   /// (implemented in io/serialize.cpp).  Loading validates structure —
   /// children strictly after their parent (fit() builds trees that way,

@@ -158,7 +158,7 @@ api::Status Client::audit_round(
       (*answered)[slot] = true;
     } catch (const io::IoError& e) {
       close();
-      return status_from_io(e);
+      return api::status_from(e);
     }
   }
   return api::Status::Ok();
@@ -246,7 +246,7 @@ api::Status Client::call(MsgType request, MsgType reply,
     return api::Status::Ok();
   } catch (const io::IoError& e) {
     close();
-    return status_from_io(e);
+    return api::status_from(e);
   }
 }
 

@@ -71,7 +71,7 @@ struct ClientConfig {
   int send_timeout_ms = 0;
   int recv_timeout_ms = 0;
   /// Reconnect-and-retry policy for audit calls (see RetryPolicy).
-  RetryPolicy retry;
+  RetryPolicy retry{};
 };
 
 /// One audit to submit over the wire.  The model is borrowed and gets

@@ -59,10 +59,6 @@ core::Verdict read_verdict(io::Reader& reader) {
 
 }  // namespace
 
-api::Status status_from_io(const io::IoError& error) {
-  return api::status_from(error);
-}
-
 void encode_audit_request(io::Writer& writer, const AuditRequestMsg& msg,
                           nn::Model& model) {
   writer.write_tag(kTagAuditRequest);

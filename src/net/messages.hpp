@@ -145,10 +145,6 @@ ErrorMsg decode_error(io::Reader& reader);
 /// in-flight audits finish and their responses flush, then close.  The
 /// response acknowledges that the drain began (the connection closes once
 /// its own queue empties).
-struct ShutdownRequestMsg {
-  std::uint32_t struct_version = kShutdownMsgVersion;
-};
-
 void encode_shutdown_request(io::Writer& writer);
 void decode_shutdown_request(io::Reader& reader);
 
@@ -160,9 +156,5 @@ struct ShutdownResponseMsg {
 void encode_shutdown_response(io::Writer& writer,
                               const ShutdownResponseMsg& msg);
 ShutdownResponseMsg decode_shutdown_response(io::Reader& reader);
-
-/// Map decode failures onto the façade's typed codes (same mapping as
-/// api::status_from, re-exported here so transport code reads naturally).
-api::Status status_from_io(const io::IoError& error);
 
 }  // namespace bprom::net

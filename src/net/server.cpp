@@ -397,7 +397,7 @@ void Server::dispatch_frame(IoThread& io,
       } catch (const io::IoError& e) {
         // relaxed: statistics tally.
         rejected_protocol_.fetch_add(1, std::memory_order_relaxed);
-        send_error(io, conn, header.request_id, status_from_io(e));
+        send_error(io, conn, header.request_id, api::status_from(e));
         return;
       }
       StatsResponseMsg msg;
@@ -417,7 +417,7 @@ void Server::dispatch_frame(IoThread& io,
       } catch (const io::IoError& e) {
         // relaxed: statistics tally.
         rejected_protocol_.fetch_add(1, std::memory_order_relaxed);
-        send_error(io, conn, header.request_id, status_from_io(e));
+        send_error(io, conn, header.request_id, api::status_from(e));
         return;
       }
       // Flip the mode FIRST: a client that has read the acknowledgement
@@ -441,7 +441,7 @@ void Server::dispatch_frame(IoThread& io,
       } catch (const io::IoError& e) {
         // relaxed: statistics tally.
         rejected_protocol_.fetch_add(1, std::memory_order_relaxed);
-        send_error(io, conn, header.request_id, status_from_io(e));
+        send_error(io, conn, header.request_id, api::status_from(e));
         return;
       }
       InfoResponseMsg msg;
@@ -463,7 +463,7 @@ void Server::dispatch_frame(IoThread& io,
                  api::Status::InvalidRequest(
                      "unexpected message type " +
                      std::to_string(static_cast<unsigned>(header.type)) +
-                     " (clients send audit/stats/info requests)"));
+                     " (clients send audit/stats/info/shutdown requests)"));
       return;
   }
 }
@@ -502,7 +502,7 @@ void Server::handle_audit(IoThread& io,
     admission_.release();
     // relaxed: statistics tally.
     rejected_protocol_.fetch_add(1, std::memory_order_relaxed);
-    send_error(io, conn, header.request_id, status_from_io(e));
+    send_error(io, conn, header.request_id, api::status_from(e));
     return;
   } catch (const std::exception& e) {
     admission_.release();

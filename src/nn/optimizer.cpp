@@ -1,7 +1,5 @@
 #include "nn/optimizer.hpp"
 
-#include <cmath>
-
 namespace bprom::nn {
 
 Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum,
@@ -22,38 +20,6 @@ void Sgd::step() {
       const float g = p.grad[i] + weight_decay_ * p.value[i];
       vel[i] = momentum_ * vel[i] + g;
       p.value[i] -= lr_ * vel[i];
-    }
-  }
-}
-
-Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
-           float eps)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (auto* p : params_) {
-    m_.emplace_back(p->value.shape());
-    v_.emplace_back(p->value.shape());
-  }
-}
-
-void Adam::step() {
-  ++t_;
-  const float bc1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0F - std::pow(beta2_, static_cast<float>(t_));
-  for (std::size_t pi = 0; pi < params_.size(); ++pi) {
-    Parameter& p = *params_[pi];
-    for (std::size_t i = 0; i < p.value.size(); ++i) {
-      const float g = p.grad[i];
-      m_[pi][i] = beta1_ * m_[pi][i] + (1.0F - beta1_) * g;
-      v_[pi][i] = beta2_ * v_[pi][i] + (1.0F - beta2_) * g * g;
-      const float mhat = m_[pi][i] / bc1;
-      const float vhat = v_[pi][i] / bc2;
-      p.value[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
 }

@@ -37,21 +37,4 @@ class Sgd final : public Optimizer {
   std::vector<Tensor> velocity_;
 };
 
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Parameter*> params, float lr, float beta1 = 0.9F,
-       float beta2 = 0.999F, float eps = 1e-8F);
-  void step() override;
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  float lr_;
-  float beta1_;
-  float beta2_;
-  float eps_;
-  long t_ = 0;
-  std::vector<Tensor> m_;
-  std::vector<Tensor> v_;
-};
-
 }  // namespace bprom::nn

@@ -168,17 +168,11 @@ std::shared_ptr<const core::BpromDetector> DetectorStore::put(
   return handle;
 }
 
-std::shared_ptr<const core::BpromDetector> DetectorStore::cached_locked(
-    const std::string& name) const {
-  auto it = cache_.find(name);
-  return it != cache_.end() ? it->second : nullptr;
-}
-
 std::shared_ptr<const core::BpromDetector> DetectorStore::get(
     const std::string& name) {
   {
     util::MutexLock lock(mu_);
-    if (auto hit = cached_locked(name)) return hit;
+    if (auto it = cache_.find(name); it != cache_.end()) return it->second;
   }
   // Load outside the lock so a slow disk read does not serialize unrelated
   // lookups; first insertion wins if two threads race on the same name
@@ -188,15 +182,6 @@ std::shared_ptr<const core::BpromDetector> DetectorStore::get(
       io::load_detector_file(path_for(name)));
   util::MutexLock lock(mu_);
   return cache_.emplace(name, std::move(loaded)).first->second;
-}
-
-bool DetectorStore::contains(const std::string& name) const {
-  {
-    util::MutexLock lock(mu_);
-    if (cached_locked(name) != nullptr) return true;
-  }
-  std::error_code ec;
-  return fs::exists(path_for(name), ec);
 }
 
 std::vector<std::string> DetectorStore::list() const {

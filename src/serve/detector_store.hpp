@@ -107,9 +107,6 @@ class DetectorStore {
   /// when the name has never been stored.
   std::shared_ptr<const core::BpromDetector> get(const std::string& name);
 
-  /// True when `name` is cached or present on disk.
-  [[nodiscard]] bool contains(const std::string& name) const;
-
   /// Names of every detector on disk, sorted.
   [[nodiscard]] std::vector<std::string> list() const;
 
@@ -141,13 +138,6 @@ class DetectorStore {
   RecoveryReport recover();
 
  private:
-  /// Cached handle for `name`, or null.  The lookup half of get()'s
-  /// check-then-load-then-publish sequence (the load runs unlocked so a
-  /// slow disk read cannot serialize unrelated lookups; losers of the
-  /// publish race adopt the winner's handle).
-  [[nodiscard]] std::shared_ptr<const core::BpromDetector> cached_locked(
-      const std::string& name) const BPROM_REQUIRES(mu_);
-
   /// Persist an explicit generation value (temp-file + rename).
   void write_generation(std::uint64_t value);
 

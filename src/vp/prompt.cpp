@@ -233,8 +233,4 @@ void VisualPrompt::set_theta(const std::vector<double>& theta) {
   }
 }
 
-std::vector<double> VisualPrompt::theta_as_double() const {
-  return std::vector<double>(theta_.begin(), theta_.end());
-}
-
 }  // namespace bprom::vp

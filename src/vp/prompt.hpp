@@ -64,7 +64,6 @@ class VisualPrompt {
   [[nodiscard]] const std::vector<float>& theta() const { return theta_; }
   void set_theta(const std::vector<float>& theta);
   void set_theta(const std::vector<double>& theta);
-  [[nodiscard]] std::vector<double> theta_as_double() const;
 
   [[nodiscard]] const ImageShape& canvas() const { return canvas_; }
   [[nodiscard]] PromptMode mode() const { return mode_; }

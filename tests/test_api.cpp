@@ -544,6 +544,62 @@ TEST(ApiEngine, TwoEnginesPublishingConcurrentlyNeverCollide) {
   EXPECT_FALSE(fs::exists(fs::path(dir) / serve::StoreLock::kLockName));
 }
 
+TEST(ApiEngine, BareNamesFollowPublishesFromAnotherEngine) {
+  const std::string dir = fresh_dir("bprom_api_crossengine");
+  api::AuditEngine left({.store_dir = dir});
+  api::AuditEngine right({.store_dir = dir});
+  ASSERT_EQ(left.publish("aud", fixture().detector).value().version, 1U);
+  ASSERT_EQ(right.publish("aud", fixture().detector).value().version, 2U);
+
+  // `left` never minted v2, yet resolves and audits with it...
+  EXPECT_EQ(left.info("aud").value().version, 2U);
+  nn::BlackBoxAdapter box(*fixture().suspicious.model);
+  const auto responses = left.audit({request_for("aud", &box)});
+  ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.to_string();
+  EXPECT_EQ(responses[0].detector_version, "aud@v2");
+  // ...and mints past it, which `right` resolves in turn.
+  EXPECT_EQ(left.publish("aud", fixture().detector).value().version, 3U);
+  EXPECT_EQ(right.info("aud").value().version, 3U);
+}
+
+TEST(ApiEngine, RecoveredNewestVersionResolvesLikeAFreshEngine) {
+  const std::string dir = fresh_dir("bprom_api_recovered");
+  api::AuditEngine engine({.store_dir = dir});
+  ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
+  ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
+  {
+    // Corrupt the newest version: overwrite its middle byte.
+    const std::string v2 = (fs::path(dir) / "aud@v2.bprom").string();
+    const auto middle = static_cast<std::streamoff>(fs::file_size(v2) / 2);
+    std::fstream file(v2, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(middle);
+    const int byte = file.get();
+    file.seekp(middle);
+    file.put(static_cast<char>(~byte));
+  }
+  const auto report = engine.recover();
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  ASSERT_EQ(report.value().issues.size(), 1U);
+  EXPECT_EQ(report.value().issues[0].kind,
+            serve::RecoveryIssue::Kind::kCorrupt);
+
+  // The engine that published v2 answers the bare name exactly as an
+  // engine that never saw v2 does: from what is left on disk.
+  api::AuditEngine fresh({.store_dir = dir});
+  const auto want = fresh.info("aud");
+  ASSERT_TRUE(want.ok()) << want.status().to_string();
+  EXPECT_EQ(want.value().version, 1U);
+  const auto got = engine.info("aud");
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(got.value().versioned_name(), want.value().versioned_name());
+  EXPECT_EQ(got.value().path, want.value().path);
+
+  nn::BlackBoxAdapter box(*fixture().suspicious.model);
+  const auto responses = engine.audit({request_for("aud", &box)});
+  ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.to_string();
+  EXPECT_EQ(responses[0].detector_version, "aud@v1");
+}
+
 TEST(ApiEngine, AsyncVerdictsMatchSyncThroughTheRing) {
   api::AuditEngine engine({.store_dir = fresh_dir("bprom_api_ringdet")});
   ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
@@ -624,8 +680,10 @@ TEST(ApiEngine, DestructorDrainsQueuedAsyncBatches) {
     for (int i = 0; i < 6; ++i) {
       boxes.push_back(std::make_unique<nn::BlackBoxAdapter>(
           *fixture().suspicious.model));
-      futures.push_back(engine.audit_async(
-          {request_for("aud", boxes.back().get(), "m" + std::to_string(i))}));
+      std::string id = "m";
+      id += std::to_string(i);  // `"m" + to_string` trips gcc 12 -Wrestrict
+      futures.push_back(
+          engine.audit_async({request_for("aud", boxes.back().get(), id)}));
     }
   }  // ~AuditEngine: close the queue, drain, join
   for (auto& future : futures) {
@@ -652,19 +710,24 @@ TEST(ApiEngine, IdleEngineWorkersBlock) {
   EXPECT_LT(switches, 100) << "context switches in 500 ms of idling";
 }
 
-TEST(ApiEngine, LegacyUnversionedContainersResolveAsV1) {
-  const std::string dir = fresh_dir("bprom_api_legacy");
+TEST(ApiEngine, BareContainersAreNotPublishedVersions) {
+  const std::string dir = fresh_dir("bprom_api_bare");
   {
-    serve::DetectorStore store(dir);  // pre-façade layout: bare name
+    serve::DetectorStore store(dir);  // a container outside name@vN
     store.put("old", fixture().detector);
   }
   api::AuditEngine engine({.store_dir = dir});
-  const auto info = engine.info("old");
-  ASSERT_TRUE(info.ok()) << info.status().to_string();
-  EXPECT_EQ(info.value().versioned_name(), "old@v1");
-  EXPECT_TRUE(engine.info("old@v1").ok());
-  // Publishing over a legacy container starts at v2.
-  EXPECT_EQ(engine.publish("old", fixture().detector).value().version, 2U);
+  EXPECT_EQ(engine.info("old").status().code(), api::StatusCode::kNotFound);
+  EXPECT_EQ(engine.info("old@v1").status().code(),
+            api::StatusCode::kNotFound);
+  const auto listed = engine.list();
+  ASSERT_TRUE(listed.ok());
+  EXPECT_TRUE(listed.value().empty());
+  // The first publish of the name mints v1.
+  const auto published = engine.publish("old", fixture().detector);
+  ASSERT_TRUE(published.ok()) << published.status().to_string();
+  EXPECT_EQ(published.value().versioned_name(), "old@v1");
+  EXPECT_EQ(engine.info("old").value().version, 1U);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "api/status.hpp"
 #include "io/binary.hpp"
 #include "net/frame.hpp"
@@ -150,8 +151,7 @@ TEST(NetFrame, CorruptBodyCrcFailsLikeCorruptArtifact) {
     net::decode_stats_request(reader);
     FAIL() << "corrupt body decoded";
   } catch (const io::IoError& e) {
-    EXPECT_EQ(net::status_from_io(e).code(),
-              api::StatusCode::kCorruptArtifact);
+    EXPECT_EQ(api::status_from(e).code(), api::StatusCode::kCorruptArtifact);
   }
 }
 
@@ -167,7 +167,7 @@ TEST(NetMessages, NewerStructVersionIsVersionMismatch) {
     net::decode_audit_request(reader);
     FAIL() << "future struct_version decoded";
   } catch (const io::IoError& e) {
-    const api::Status status = net::status_from_io(e);
+    const api::Status status = api::status_from(e);
     EXPECT_EQ(status.code(), api::StatusCode::kVersionMismatch);
     EXPECT_NE(status.message().find("999"), std::string::npos);
   }
@@ -183,8 +183,7 @@ TEST(NetMessages, ZeroStructVersionIsAlsoRefused) {
     net::decode_info_request(reader);
     FAIL() << "zero struct_version decoded";
   } catch (const io::IoError& e) {
-    EXPECT_EQ(net::status_from_io(e).code(),
-              api::StatusCode::kVersionMismatch);
+    EXPECT_EQ(api::status_from(e).code(), api::StatusCode::kVersionMismatch);
   }
 }
 

@@ -240,9 +240,9 @@ TEST(Recover, EngineRecoverOnStartSweepsBeforeServing) {
     std::ofstream out((fs::path(dir) / "torn.bprom.tmp").string());
     out << "debris";
   }
-  api::AuditEngine engine(
-      {.store_dir = dir, .recover_on_start = true});
+  api::AuditEngine engine({.store_dir = dir});
   ASSERT_TRUE(engine.status().ok());
+  ASSERT_TRUE(engine.recover().ok());
   EXPECT_FALSE(fs::exists(fs::path(dir) / "torn.bprom.tmp"));
   EXPECT_TRUE(fs::exists(fs::path(dir) / "quarantine" / "torn.bprom.tmp"));
   fs::remove_all(dir);

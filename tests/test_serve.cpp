@@ -194,11 +194,10 @@ TEST(DetectorStore, PutGetListAndCacheBehavior) {
       (std::filesystem::temp_directory_path() / "bprom_test_store").string();
   std::filesystem::remove_all(dir);
   serve::DetectorStore store(dir);
-  EXPECT_FALSE(store.contains("aud"));
+  EXPECT_TRUE(store.list().empty());
   EXPECT_THROW(store.get("aud"), io::IoError);
 
   auto put_handle = store.put("aud", std::move(detector));
-  EXPECT_TRUE(store.contains("aud"));
   EXPECT_EQ(store.list(), std::vector<std::string>{"aud"});
   // Cached: get() returns the same object without re-reading the file.
   EXPECT_EQ(store.get("aud").get(), put_handle.get());
@@ -211,7 +210,7 @@ TEST(DetectorStore, PutGetListAndCacheBehavior) {
             put_handle->diagnostics().meta_features);
   // Eviction drops the cache entry but not the file.
   fresh.evict("aud");
-  EXPECT_TRUE(fresh.contains("aud"));
+  EXPECT_EQ(fresh.list(), std::vector<std::string>{"aud"});
   EXPECT_NE(fresh.get("aud").get(), loaded.get());
 
   std::filesystem::remove_all(dir);

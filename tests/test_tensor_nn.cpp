@@ -385,17 +385,6 @@ TEST(Optimizer, SgdConvergesOnQuadratic) {
   EXPECT_NEAR(w.value[0], 3.0F, 1e-3);
 }
 
-TEST(Optimizer, AdamConvergesOnQuadratic) {
-  Parameter w(Tensor({1}, 0.0F));
-  Adam opt({&w}, 0.1F);
-  for (int i = 0; i < 300; ++i) {
-    opt.zero_grad();
-    w.grad[0] = 2.0F * (w.value[0] - 3.0F);
-    opt.step();
-  }
-  EXPECT_NEAR(w.value[0], 3.0F, 1e-2);
-}
-
 class ArchTest : public ::testing::TestWithParam<ArchKind> {};
 
 TEST_P(ArchTest, OutputShapeAndProbabilities) {
