@@ -43,6 +43,20 @@ std::vector<std::uint64_t> split_request_salts(std::uint64_t seed,
   return salts;
 }
 
+/// Newest N among the "base@vN" names (0 when there is none).
+std::uint32_t newest_version(const std::vector<std::string>& names,
+                             const std::string& base) {
+  std::uint32_t newest = 0;
+  for (const auto& name : names) {
+    std::string b;
+    std::uint32_t v = 0;
+    if (parse_versioned_name(name, &b, &v) && b == base) {
+      newest = std::max(newest, v);
+    }
+  }
+  return newest;
+}
+
 }  // namespace
 
 Status status_from(const io::IoError& error) {
@@ -132,15 +146,7 @@ void AuditEngine::run_job(AsyncJob& job) {
 }
 
 std::uint32_t AuditEngine::latest_on_disk(const std::string& base) const {
-  std::uint32_t latest = 0;
-  for (const auto& stem : store_->list()) {
-    std::string b;
-    std::uint32_t v = 0;
-    if (parse_versioned_name(stem, &b, &v) && b == base) {
-      latest = std::max(latest, v);
-    }
-  }
-  return latest;
+  return newest_version(store_->list(), base);
 }
 
 Result<AuditEngine::Resolved> AuditEngine::resolve(
@@ -194,7 +200,10 @@ Result<DetectorInfo> AuditEngine::publish(const std::string& name,
   // a published name@vN is never overwritten.
   serve::StoreLock store_lock(store_->directory());
   const std::uint32_t latest = latest_on_disk(name);
-  const std::uint32_t next = latest + 1;
+  // Quarantined numbers stay spent: minting one again would let a pinned
+  // name@vN reach content other than what it was published with.
+  const std::uint32_t next =
+      std::max(latest, newest_version(store_->quarantined(), name)) + 1;
   const std::string stem = versioned_name(name, next);
 
   DetectorInfo info;

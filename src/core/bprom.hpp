@@ -180,6 +180,10 @@ class BpromDetector {
   static BpromDetector load(io::Reader& reader);
 
  private:
+  /// The one field list save() and load() run (io/serialize.cpp).
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self);
+
   /// What one prompted ensemble member contributes to a verdict.
   struct Observation {
     std::vector<float> features;  ///< meta features

@@ -93,26 +93,6 @@ void Writer::write_tag(const char (&tag)[5]) {
   }
 }
 
-void Writer::write_f32_vec(const std::vector<float>& v) {
-  write_u64(v.size());
-  for (float x : v) write_f32(x);
-}
-
-void Writer::write_i32_vec(const std::vector<int>& v) {
-  write_u64(v.size());
-  for (int x : v) write_i32(x);
-}
-
-void Writer::write_u64_vec(const std::vector<std::size_t>& v) {
-  write_u64(v.size());
-  for (std::size_t x : v) write_u64(x);
-}
-
-void Writer::write_f64_vec(const std::vector<double>& v) {
-  write_u64(v.size());
-  for (double x : v) write_f64(x);
-}
-
 std::vector<std::uint8_t> Writer::finish() const {
   std::vector<std::uint8_t> out;
   out.reserve(payload_.size() + 20);
@@ -358,32 +338,25 @@ std::uint64_t Reader::read_count(std::size_t elem_size) {
   return n;
 }
 
-std::vector<float> Reader::read_f32_vec() {
-  const std::uint64_t n = read_count(4);
-  std::vector<float> v(n);
-  for (auto& x : v) x = read_f32();
-  return v;
+void Reader::version(std::uint32_t& v, std::uint32_t supported,
+                     const char* what) {
+  v = read_u32();
+  // A newer struct version carries fields this build cannot parse: refuse
+  // with the kind the façade maps to kVersionMismatch.
+  if (v == 0 || v > supported) {
+    throw IoError(std::string(what) + " struct_version " + std::to_string(v) +
+                      " is not supported by this build (max " +
+                      std::to_string(supported) + ")",
+                  ErrorKind::kVersionMismatch);
+  }
 }
 
-std::vector<int> Reader::read_i32_vec() {
-  const std::uint64_t n = read_count(4);
-  std::vector<int> v(n);
-  for (auto& x : v) x = read_i32();
-  return v;
-}
-
-std::vector<std::size_t> Reader::read_u64_vec() {
-  const std::uint64_t n = read_count(8);
-  std::vector<std::size_t> v(n);
-  for (auto& x : v) x = static_cast<std::size_t>(read_u64());
-  return v;
-}
-
-std::vector<double> Reader::read_f64_vec() {
-  const std::uint64_t n = read_count(8);
-  std::vector<double> v(n);
-  for (auto& x : v) x = read_f64();
-  return v;
+std::uint32_t Reader::read_enum(std::uint32_t last, const char* what) {
+  const std::uint32_t raw = read_u32();
+  if (raw > last) {
+    throw IoError(std::string("unknown ") + what + " " + std::to_string(raw));
+  }
+  return raw;
 }
 
 }  // namespace bprom::io

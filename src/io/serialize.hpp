@@ -1,22 +1,23 @@
 // Typed serializers for every trained artifact, built on io::Writer/Reader.
 //
-// Each save_* opens a 4-char chunk tag that the matching load_* verifies,
-// so mixing artifact kinds fails with IoError instead of garbage.  The
-// *_file helpers wrap one artifact per .bprom container (magic + version +
-// CRC); the chunk serializers compose, so composite artifacts (detectors)
-// embed tensors, forests, and prompts inline.
+// Each artifact is described once, as a field list (see io/binary.hpp) that
+// both directions run: save_* encodes it, load_* decodes it and enforces
+// its bounds.  Every chunk opens with a 4-char tag that the reader
+// verifies, so mixing artifact kinds fails with IoError instead of garbage.
+// The chunks compose: a detector (`DTCT`) embeds its D_T splits and D_Q as
+// `DATA` chunks (each a `TNSR` plus labels) and its meta-forest as `FRST`
+// (`TREE` per tree).  Models (`MODL`) keep a save/load pair, because the
+// reader rebuilds the layer graph from the descriptor before it reads the
+// weight blob.  The detector file helpers wrap one detector per .bprom
+// container (magic + version + CRC).
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "core/bprom.hpp"
 #include "io/binary.hpp"
-#include "meta/random_forest.hpp"
-#include "nn/model.hpp"
 #include "nn/trainer.hpp"
 #include "tensor/tensor.hpp"
-#include "vp/prompt.hpp"
 
 namespace bprom::io {
 
@@ -27,15 +28,9 @@ tensor::Tensor load_tensor(Reader& reader);
 void save_labeled_data(Writer& writer, const nn::LabeledData& data);
 nn::LabeledData load_labeled_data(Reader& reader);
 
-void save_prompt(Writer& writer, const vp::VisualPrompt& prompt);
-vp::VisualPrompt load_prompt(Reader& reader);
-
 // Model / forest / detector chunk forms live as members (Model::save,
 // RandomForest::save, BpromDetector::save) because they touch private
-// state; the free functions below wrap them in standalone containers.
-
-void save_model_file(const std::string& path, nn::Model& model);
-std::unique_ptr<nn::Model> load_model_file(const std::string& path);
+// state; the helpers below wrap a detector in a standalone container.
 
 void save_detector_file(const std::string& path,
                         const core::BpromDetector& detector);

@@ -7,11 +7,6 @@
 
 #include "util/rng.hpp"
 
-namespace bprom::io {
-class Writer;
-class Reader;
-}  // namespace bprom::io
-
 namespace bprom::meta {
 
 struct TreeConfig {
@@ -33,14 +28,15 @@ class DecisionTree {
   /// P(label = 1).
   [[nodiscard]] double predict_proba(const std::vector<float>& x) const;
 
-  /// Binary persistence of the fitted tree structure + leaf stats
-  /// (implemented in io/serialize.cpp).  Loading validates structure —
-  /// children strictly after their parent (fit() builds trees that way,
-  /// and it guarantees the predict walk terminates) and split features
-  /// inside [0, feature_dim) — so a CRC-valid but hand-corrupted file
-  /// raises io::IoError instead of reading out of bounds or looping.
-  void save(io::Writer& writer) const;
-  static DecisionTree load(io::Reader& reader, std::size_t feature_dim);
+  /// Wire field list of the fitted tree structure + leaf stats (defined in
+  /// io/serialize.cpp, which runs it for RandomForest::save and load).
+  /// Reading validates structure — children strictly after their parent
+  /// (fit() builds trees that way, and it guarantees the predict walk
+  /// terminates) and split features inside [0, feature_dim) — so a
+  /// CRC-valid but hand-corrupted file raises io::IoError instead of
+  /// reading out of bounds or looping.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self, std::size_t feature_dim);
 
  private:
   struct Node {

@@ -6,6 +6,11 @@
 
 #include "meta/decision_tree.hpp"
 
+namespace bprom::io {
+class Writer;
+class Reader;
+}  // namespace bprom::io
+
 namespace bprom::meta {
 
 struct ForestConfig {
@@ -33,10 +38,13 @@ class RandomForest {
   [[nodiscard]] std::size_t tree_count() const { return trees_.size(); }
   [[nodiscard]] const ForestConfig& config() const { return config_; }
 
-  /// Binary persistence of config + every fitted tree (implemented in
-  /// io/serialize.cpp).
+  /// Binary persistence of config + every fitted tree: save() and load()
+  /// run the one field list `fields` (all three defined in
+  /// io/serialize.cpp, which also runs the list inside detectors).
   void save(io::Writer& writer) const;
   static RandomForest load(io::Reader& reader);
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& self);
 
  private:
   ForestConfig config_;

@@ -14,18 +14,6 @@ namespace bprom::net {
 
 namespace {
 
-/// Lift a wire response into the façade's value type (same fields).
-api::AuditResponse from_wire(AuditResponseMsg msg) {
-  api::AuditResponse out;
-  out.struct_version = msg.struct_version;
-  out.model_id = std::move(msg.model_id);
-  out.detector_version = std::move(msg.detector_version);
-  out.status = std::move(msg.status);
-  out.verdict = msg.verdict;
-  out.seconds = msg.seconds;
-  return out;
-}
-
 /// Transport failures only: a dead/hung socket looks like kInternal (errno
 /// status, injected fault, server hangup) or kDeadlineExceeded (poll
 /// timeout).  Typed application rejections arrive in-band in a response
@@ -140,7 +128,7 @@ api::Status Client::audit_round(
     try {
       io::Reader reader(std::move(body));
       if (header.type == MsgType::kAuditResponse) {
-        (*out)[slot] = from_wire(decode_audit_response(reader));
+        (*out)[slot] = decode_audit_response(reader);
       } else if (header.type == MsgType::kError) {
         // Typed rejection (admission, undecodable request): surface it as
         // the slot's status, like the engine reports per-request failures.

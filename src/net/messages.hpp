@@ -1,13 +1,18 @@
 // Typed wire messages of the BPROM network protocol.
 //
-// Each message body is an `src/io` chunk stream (4-char tag + fields), so
-// decoding inherits the container machinery's discipline: tag mismatches,
-// truncation, and out-of-range fields all raise io::IoError, which the
-// transport maps onto the same typed api::Status codes `.bprom` artifacts
-// produce.  Every message opens with the `struct_version` of the api value
-// type it carries — a decoder that meets a newer version than it knows
-// refuses with ErrorKind::kVersionMismatch (-> Status::kVersionMismatch)
-// instead of misreading appended fields.
+// Each message body is an `src/io` chunk stream (4-char tag + fields),
+// described once as a field list (see io/binary.hpp) that encode_* runs on
+// an io::Writer and decode_* runs on an io::Reader.  Decoding therefore
+// inherits the container machinery's discipline: tag mismatches,
+// truncation, counts beyond the bytes left and out-of-range enums all
+// raise io::IoError, which the transport maps onto the same typed
+// api::Status codes `.bprom` artifacts produce.  Every message opens with
+// the `struct_version` of the api value type it carries — a decoder that
+// meets a newer version than it knows refuses with
+// ErrorKind::kVersionMismatch (-> Status::kVersionMismatch) instead of
+// misreading appended fields.  The audit response is api::AuditResponse
+// itself: the server encodes the engine's response as it is, and the
+// client decodes straight into it.
 //
 // The audit request is the one message with real payload: the suspicious
 // model itself rides along as a serialized nn::Model chunk (the black box
@@ -64,21 +69,9 @@ void encode_audit_request(io::Writer& writer, const AuditRequestMsg& msg,
 /// Throws io::IoError on malformed/truncated/newer-versioned input.
 AuditRequestMsg decode_audit_request(io::Reader& reader);
 
-/// api::AuditResponse, wire form (same fields, same struct_version).
-struct AuditResponseMsg {
-  std::uint32_t struct_version = api::kAuditResponseVersion;
-  std::string model_id;
-  std::string detector_version;
-  api::Status status;
-  core::Verdict verdict;
-  double seconds = 0.0;
-};
-
-void encode_audit_response(io::Writer& writer, const AuditResponseMsg& msg);
-AuditResponseMsg decode_audit_response(io::Reader& reader);
-
-/// Build the wire response from the engine's in-process response.
-AuditResponseMsg to_wire(const api::AuditResponse& response);
+void encode_audit_response(io::Writer& writer,
+                           const api::AuditResponse& response);
+api::AuditResponse decode_audit_response(io::Reader& reader);
 
 /// Server-side transport/admission counters folded into the stats message:
 /// what the engine cannot see — connections, wire bytes, and the typed

@@ -151,19 +151,18 @@ void Server::begin_drain() {
 
 void Server::stop() {
   if (!started_) return;
-  if (config_.drain_timeout_ms > 0) {
-    // Graceful half: let in-flight audits finish and their responses reach
-    // the wire.  The IO threads close each connection as it empties, so
-    // "every connection gone" means "everything owed was flushed".
-    begin_drain();
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(config_.drain_timeout_ms);
-    // relaxed: statistics tally read; the sleep loop only needs the value
-    // to eventually reach zero, not ordering against connection state.
-    while (connections_active_.load(std::memory_order_relaxed) > 0 &&
-           Clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+  // Graceful half: let in-flight audits finish and their responses reach
+  // the wire.  The IO threads close each connection as it empties, so
+  // "every connection gone" means "everything owed was flushed".  A zero
+  // timeout begins the drain and waits for nothing.
+  begin_drain();
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(config_.drain_timeout_ms);
+  // relaxed: statistics tally read; the sleep loop only needs the value
+  // to eventually reach zero, not ordering against connection state.
+  while (connections_active_.load(std::memory_order_relaxed) > 0 &&
+         Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   stopping_.store(true, std::memory_order_release);
   for (auto& io : io_threads_) wake(*io);
@@ -539,15 +538,12 @@ void Server::handle_audit(IoThread& io,
       std::move(batch),
       [this, conn, box, owner, request_id](
           std::vector<api::AuditResponse> responses) {
-        AuditResponseMsg response;
         if (responses.empty()) {
-          response.status = api::Status::Internal(
+          responses.emplace_back().status = api::Status::Internal(
               "engine returned no response for the audit");
-        } else {
-          response = to_wire(responses[0]);
         }
         io::Writer writer;
-        encode_audit_response(writer, response);
+        encode_audit_response(writer, responses[0]);
         std::vector<std::uint8_t> frame =
             encode_frame(MsgType::kAuditResponse, request_id, writer);
         // One critical section frees the slots and queues the response.

@@ -63,8 +63,8 @@ struct ServerConfig {
   /// stop() drains gracefully: stop accepting, let in-flight audits finish
   /// and their responses flush, close connections as they empty, and only
   /// hard-stop once every connection is gone or this many milliseconds
-  /// have passed.  0 = legacy immediate stop (in-flight responses may be
-  /// dropped on the floor).
+  /// have passed.  0 begins the drain but waits for nothing (in-flight
+  /// responses may be dropped on the floor).
   std::uint64_t drain_timeout_ms = 5000;
   /// Connection-level budgets and in-flight caps (see net/admission.hpp).
   AdmissionConfig admission;
@@ -84,10 +84,9 @@ class Server {
   /// Bind, listen, and start the IO threads.  Safe to call once.
   api::Status start();
 
-  /// Quiesce.  With drain_timeout_ms > 0 (the default) this is graceful:
-  /// begin_drain(), wait for every connection to finish and flush (bounded
-  /// by the timeout), then join the IO threads and drain in-flight audit
-  /// completions.  Idempotent.
+  /// Quiesce gracefully: begin_drain(), wait for every connection to
+  /// finish and flush (bounded by drain_timeout_ms), then join the IO
+  /// threads and drain in-flight audit completions.  Idempotent.
   void stop();
 
   /// Enter drain mode without blocking: the listener stops accepting, new

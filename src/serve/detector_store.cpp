@@ -19,6 +19,11 @@ namespace bprom::serve {
 
 namespace fs = std::filesystem;
 
+namespace {
+/// Where recover() moves what it cannot serve, inside the store directory.
+constexpr const char* kQuarantineDir = "quarantine";
+}  // namespace
+
 std::optional<std::uint64_t> process_start_token(long pid) {
   std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
   if (!in.good()) return std::nullopt;
@@ -198,6 +203,23 @@ std::vector<std::string> DetectorStore::list() const {
   return names;
 }
 
+std::vector<std::string> DetectorStore::quarantined() const {
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(dir_) / kQuarantineDir, ec)) {
+    const std::string file = entry.path().filename().string();
+    const std::size_t end = file.rfind(io::kFileExtension);
+    if (end == std::string::npos) continue;
+    // What follows the extension: "" or ".K" for a container, ".tmp" or
+    // ".tmp.K" for a torn publish.
+    const std::string suffix =
+        file.substr(end + std::string(io::kFileExtension).size());
+    if (suffix.rfind(".tmp", 0) != 0) names.push_back(file.substr(0, end));
+  }
+  return names;
+}
+
 void DetectorStore::evict(const std::string& name) {
   util::MutexLock lock(mu_);
   cache_.erase(name);
@@ -248,7 +270,7 @@ namespace {
 /// recovery must never destroy evidence, so there is no unlink fallback).
 std::string quarantine_file(const std::string& dir, const fs::path& from) {
   std::error_code ec;
-  const fs::path qdir = fs::path(dir) / "quarantine";
+  const fs::path qdir = fs::path(dir) / kQuarantineDir;
   fs::create_directories(qdir, ec);
   if (ec) return {};
   std::string base = from.filename().string();
@@ -258,7 +280,7 @@ std::string quarantine_file(const std::string& dir, const fs::path& from) {
   }
   fs::rename(from, dest, ec);
   if (ec) return {};
-  return (fs::path("quarantine") / dest.filename()).string();
+  return (fs::path(kQuarantineDir) / dest.filename()).string();
 }
 
 }  // namespace

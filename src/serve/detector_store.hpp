@@ -110,6 +110,13 @@ class DetectorStore {
   /// Names of every detector on disk, sorted.
   [[nodiscard]] std::vector<std::string> list() const;
 
+  /// The name each container under `quarantine/` was published as: its
+  /// file name up to the `.bprom` extension, so a collision suffix (".1")
+  /// still counts.  Quarantined temp files are skipped: a torn publish
+  /// never renamed its bytes into place, so no reader saw that name.
+  /// Unsorted.
+  [[nodiscard]] std::vector<std::string> quarantined() const;
+
   /// Drop a name from the in-memory cache (the file stays on disk).
   void evict(const std::string& name);
 

@@ -76,6 +76,16 @@ api::AuditRequest request_for(const std::string& detector,
   return request;
 }
 
+/// Corrupt a container past its header: invert its middle byte.
+void flip_middle_byte(const std::string& path) {
+  const auto middle = static_cast<std::streamoff>(fs::file_size(path) / 2);
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  file.seekg(middle);
+  const int byte = file.get();
+  file.seekp(middle);
+  file.put(static_cast<char>(~byte));
+}
+
 /// Claims a class count that never matches a fitted detector.
 class WrongClassBox final : public nn::BlackBoxModel {
  public:
@@ -567,16 +577,7 @@ TEST(ApiEngine, RecoveredNewestVersionResolvesLikeAFreshEngine) {
   api::AuditEngine engine({.store_dir = dir});
   ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
   ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
-  {
-    // Corrupt the newest version: overwrite its middle byte.
-    const std::string v2 = (fs::path(dir) / "aud@v2.bprom").string();
-    const auto middle = static_cast<std::streamoff>(fs::file_size(v2) / 2);
-    std::fstream file(v2, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekg(middle);
-    const int byte = file.get();
-    file.seekp(middle);
-    file.put(static_cast<char>(~byte));
-  }
+  flip_middle_byte((fs::path(dir) / "aud@v2.bprom").string());
   const auto report = engine.recover();
   ASSERT_TRUE(report.ok()) << report.status().to_string();
   ASSERT_EQ(report.value().issues.size(), 1U);
@@ -728,6 +729,44 @@ TEST(ApiEngine, BareContainersAreNotPublishedVersions) {
   ASSERT_TRUE(published.ok()) << published.status().to_string();
   EXPECT_EQ(published.value().versioned_name(), "old@v1");
   EXPECT_EQ(engine.info("old").value().version, 1U);
+}
+
+TEST(ApiEngine, QuarantinedVersionsAreNeverMintedAgain) {
+  const std::string dir = fresh_dir("bprom_api_quarantined");
+  {
+    api::AuditEngine engine({.store_dir = dir});
+    ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
+    ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
+  }
+  flip_middle_byte((fs::path(dir) / "aud@v2.bprom").string());
+  {
+    api::AuditEngine engine({.store_dir = dir});
+    const auto report = engine.recover();
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    ASSERT_EQ(report.value().issues.size(), 1U);
+    EXPECT_EQ(report.value().issues[0].quarantined_as,
+              "quarantine/aud@v2.bprom");
+  }
+  // A fresh engine mints past the quarantined v2, so a pinned aud@v2 can
+  // never reach content other than what was quarantined.
+  api::AuditEngine engine({.store_dir = dir});
+  const auto published = engine.publish("aud", fixture().detector);
+  ASSERT_TRUE(published.ok()) << published.status().to_string();
+  EXPECT_EQ(published.value().version, 3U);
+  EXPECT_EQ(engine.info("aud@v2").status().code(),
+            api::StatusCode::kNotFound);
+  EXPECT_EQ(engine.info("aud").value().version, 3U);
+
+  // A collision suffix still names a spent version.  Another name's
+  // remains and a torn publish's temp file (never renamed into place, so
+  // never readable under its name) spend nothing.
+  const fs::path quarantine = fs::path(dir) / "quarantine";
+  std::ofstream(quarantine / "aud@v5.bprom.1") << "collided";
+  std::ofstream(quarantine / "aud@v8.bprom.tmp") << "torn";
+  std::ofstream(quarantine / "audit@v9.bprom") << "other name";
+  const auto next = engine.publish("aud", fixture().detector);
+  ASSERT_TRUE(next.ok()) << next.status().to_string();
+  EXPECT_EQ(next.value().version, 6U);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // malformed containers must be rejected loudly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "io/binary.hpp"
@@ -17,6 +20,144 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// FNV-1a 64 of a byte string: a digest that is the same on every host.
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Literal floats that are exact in binary: i-th value of a fixed pattern.
+float pattern(std::size_t i) {
+  return 0.0078125F * static_cast<float>(static_cast<int>(i % 255) - 127);
+}
+
+// Forgers for the golden and count tests: they write chunks with the scalar
+// primitives alone, so the bytes they pin do not depend on the serializers
+// under test.
+void forge_tensor(io::Writer& w, const std::vector<std::uint64_t>& shape,
+                  std::size_t first) {
+  std::uint64_t size = 1;
+  w.write_tag("TNSR");
+  w.write_u64(shape.size());
+  for (std::uint64_t d : shape) {
+    w.write_u64(d);
+    size *= d;
+  }
+  w.write_u64(size);
+  for (std::size_t i = 0; i < size; ++i) w.write_f32(pattern(first + i));
+}
+
+void forge_data(io::Writer& w, std::uint64_t rows, std::size_t first) {
+  w.write_tag("DATA");
+  forge_tensor(w, {rows, 1, 2, 2}, first);
+  w.write_u64(rows);
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    w.write_i32(static_cast<std::int32_t>((first + r) % 3));
+  }
+}
+
+void forge_tree_node(io::Writer& w, int feature, float threshold, double p1,
+                     int left, int right) {
+  w.write_i32(feature);
+  w.write_f32(threshold);
+  w.write_f64(p1);
+  w.write_i32(left);
+  w.write_i32(right);
+}
+
+/// A one-tree forest over `feature_dim` features: a root split on feature
+/// 1 and two leaves.  `trees` and `nodes` are the declared counts, so a
+/// test can claim more than the payload holds.
+void forge_forest(io::Writer& w, std::uint64_t feature_dim,
+                  std::uint64_t trees = 1, std::uint64_t nodes = 3) {
+  w.write_tag("FRST");
+  w.write_u64(1);   // config.trees
+  w.write_u64(8);   // config.tree.max_depth
+  w.write_u64(1);   // config.tree.min_samples_leaf
+  w.write_u64(0);   // config.tree.feature_subsample
+  w.write_u64(19);  // config.seed
+  w.write_u64(feature_dim);
+  w.write_u64(trees);
+  w.write_tag("TREE");
+  w.write_u64(nodes);
+  forge_tree_node(w, 1, 0.375F, 0.5, 1, 2);
+  forge_tree_node(w, -1, 0.0F, 0.25, -1, -1);
+  forge_tree_node(w, -1, 0.0F, 0.875, -1, -1);
+}
+
+/// A fitted detector as `BpromDetector::save` writes it: every config field
+/// set to a distinct value, three DATA chunks, a one-tree forest over the
+/// 4 meta features, and diagnostics with `meta_rows` declared rows.
+std::vector<std::uint8_t> forge_detector(std::uint64_t meta_rows = 3) {
+  io::Writer w;
+  w.write_tag("DTCT");
+  w.write_u32(1);       // shadow_arch: kMobileNetV2Mini
+  w.write_u64(2);       // clean_shadows
+  w.write_u64(3);       // backdoor_shadows
+  w.write_u32(4);       // shadow_attack: kDynamic
+  w.write_f64(0.125);   // shadow_poison_rate
+  w.write_u64(2);       // query_samples
+  w.write_u64(5);       // shadow_train.epochs
+  w.write_u64(7);       // shadow_train.batch_size
+  w.write_f32(0.0625F);  // shadow_train.lr
+  w.write_f32(0.875F);   // shadow_train.momentum
+  w.write_f32(0.001953125F);  // shadow_train.weight_decay
+  w.write_f32(0.75F);   // shadow_train.lr_decay
+  w.write_u64(11);      // shadow_train.seed
+  w.write_u64(13);      // prompt_whitebox.epochs
+  w.write_u64(17);      // prompt_whitebox.batch_size
+  w.write_f32(0.375F);  // prompt_whitebox.lr
+  w.write_u64(19);      // prompt_whitebox.seed
+  w.write_u64(23);      // prompt_blackbox.eval_samples
+  w.write_u64(29);      // prompt_blackbox.max_evaluations
+  w.write_f64(0.5);     // prompt_blackbox.sigma0
+  w.write_u32(1);       // prompt_blackbox.optimizer: kCmaEs
+  w.write_u32(0);       // prompt_blackbox.mode: kFull
+  w.write_u64(31);      // prompt_blackbox.seed
+  w.write_u64(1);       // forest.trees
+  w.write_u64(6);       // forest.tree.max_depth
+  w.write_u64(2);       // forest.tree.min_samples_leaf
+  w.write_u64(3);       // forest.tree.feature_subsample
+  w.write_u64(37);      // forest.seed
+  w.write_u8(0);        // prompt_shadows_blackbox
+  w.write_u64(3);       // prompt_ensemble
+  w.write_u8(1);        // include_query_features
+  w.write_u8(0);        // sort_confidence_features
+  w.write_u64(41);      // seed
+  w.write_u64(3);       // source_classes
+  w.write_u64(3);       // target_classes
+  forge_data(w, 4, 0);    // target_train
+  forge_data(w, 3, 16);   // target_test
+  forge_data(w, 2, 28);   // query_set
+  forge_forest(w, 4);
+  w.write_u64(2);       // clean_shadow_prompted_accuracy
+  w.write_f64(0.5);
+  w.write_f64(0.75);
+  w.write_u64(1);       // backdoor_shadow_prompted_accuracy
+  w.write_f64(0.25);
+  w.write_u64(meta_rows);  // meta_features
+  for (std::size_t r = 0; r < 3; ++r) {
+    w.write_u64(4);
+    for (std::size_t c = 0; c < 4; ++c) w.write_f32(pattern(40 + 4 * r + c));
+  }
+  w.write_u64(3);       // meta_labels
+  w.write_i32(0);
+  w.write_i32(0);
+  w.write_i32(1);
+  return w.payload();
+}
+
+/// The container around a forged payload.
+std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& payload) {
+  io::Writer w;
+  for (std::uint8_t b : payload) w.write_u8(b);
+  return w.finish();
 }
 
 core::ExperimentScale micro_scale() {
@@ -56,22 +197,100 @@ TEST(IoBinary, LabeledDataRoundTrip) {
   EXPECT_EQ(back.labels, dataset.train.labels);
 }
 
-TEST(IoBinary, PromptRoundTrip) {
-  vp::VisualPrompt prompt(nn::ImageShape{3, 16, 16},
-                          vp::PromptMode::kAdditiveCoarse);
-  std::vector<float> theta(prompt.num_params());
-  for (std::size_t i = 0; i < theta.size(); ++i) {
-    theta[i] = 0.25F * static_cast<float>(i) - 1.0F;
-  }
-  prompt.set_theta(theta);
+TEST(IoBinary, EveryContainerKeepsItsBytes) {
+  // One value of every container chunk, built from literals so its bytes
+  // are the same on every host and compiler, pinned by payload length and
+  // FNV-1a-64.  Each must also decode and re-encode to the same bytes.  A
+  // deliberate format change bumps kFormatVersion and re-pins.
+  EXPECT_EQ(io::kFormatVersion, 1U);
+  struct Pinned {
+    std::string name;
+    std::size_t length;
+    std::uint64_t fnv;
+  };
+  const std::vector<Pinned> pinned = {
+      {"TNSR", 60, 0xe36d1aa3b41df82dULL},
+      {"DATA", 124, 0xfe82d12ce4148210ULL},
+      {"MODL ResNet18Mini", 20192, 0xe593b69b96c1271bULL},
+      {"MODL MobileNetV2Mini", 8704, 0x7369ee5c857ac7b7ULL},
+      {"MODL MobileViTMini", 12160, 0x858de31b8651e9a5ULL},
+      {"MODL SwinMini", 31744, 0x4858a826efda9f92ULL},
+      {"MODL Mlp", 58304, 0xfc1d124158440b19ULL},
+      {"FRST", 144, 0x5ca6f4b1c2cea108ULL},
+      {"DTCT", 883, 0x810758fd4ccc941dULL},
+  };
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> actual;
 
-  io::Writer writer;
-  io::save_prompt(writer, prompt);
-  io::Reader reader(writer.finish());
-  vp::VisualPrompt back = io::load_prompt(reader);
-  EXPECT_EQ(back.mode(), prompt.mode());
-  EXPECT_EQ(back.canvas(), prompt.canvas());
-  EXPECT_EQ(back.theta(), prompt.theta());
+  {
+    tensor::Tensor t({2, 3});
+    for (std::size_t i = 0; i < 6; ++i) t.vec()[i] = pattern(i);
+    io::Writer w;
+    io::save_tensor(w, t);
+    io::Reader r(w.finish());
+    io::Writer again;
+    io::save_tensor(again, io::load_tensor(r));
+    EXPECT_EQ(again.payload(), w.payload());
+    actual.emplace_back("TNSR", w.payload());
+  }
+  {
+    nn::LabeledData data;
+    data.images = tensor::Tensor({3, 1, 2, 2});
+    for (std::size_t i = 0; i < 12; ++i) data.images.vec()[i] = pattern(100 + i);
+    data.labels = {2, 0, 1};
+    io::Writer w;
+    io::save_labeled_data(w, data);
+    io::Reader r(w.finish());
+    io::Writer again;
+    io::save_labeled_data(again, io::load_labeled_data(r));
+    EXPECT_EQ(again.payload(), w.payload());
+    actual.emplace_back("DATA", w.payload());
+  }
+  for (const nn::ArchKind arch :
+       {nn::ArchKind::kResNet18Mini, nn::ArchKind::kMobileNetV2Mini,
+        nn::ArchKind::kMobileViTMini, nn::ArchKind::kSwinMini,
+        nn::ArchKind::kMlp}) {
+    util::Rng rng(0);
+    auto model = nn::make_model(arch, nn::ImageShape{3, 8, 8}, 4, rng);
+    std::vector<float> blob(model->save_parameters().size());
+    for (std::size_t i = 0; i < blob.size(); ++i) blob[i] = pattern(i);
+    model->load_parameters(blob);  // every weight and statistic is literal
+    io::Writer w;
+    model->save(w);
+    io::Reader r(w.finish());
+    io::Writer again;
+    nn::Model::load(r)->save(again);
+    EXPECT_EQ(again.payload(), w.payload()) << nn::arch_name(arch);
+    std::string name = "MODL ";
+    name += nn::arch_name(arch);
+    actual.emplace_back(name, w.payload());
+  }
+  {
+    io::Writer forged;
+    forge_forest(forged, 6);
+    io::Reader r(forged.finish());
+    io::Writer again;
+    meta::RandomForest::load(r).save(again);
+    EXPECT_EQ(again.payload(), forged.payload());
+    actual.emplace_back("FRST", forged.payload());
+  }
+  {
+    const std::vector<std::uint8_t> forged = forge_detector();
+    io::Reader r(seal(forged));
+    io::Writer again;
+    core::BpromDetector::load(r).save(again);
+    EXPECT_EQ(again.payload(), forged);
+    actual.emplace_back("DTCT", forged);
+  }
+
+  ASSERT_EQ(actual.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const auto& [name, payload] = actual[i];
+    EXPECT_EQ(name, pinned[i].name);
+    EXPECT_EQ(payload.size(), pinned[i].length) << name;
+    EXPECT_EQ(fnv1a64(payload), pinned[i].fnv)
+        << name << ": {\"" << name << "\", " << payload.size() << ", 0x"
+        << std::hex << fnv1a64(payload) << "ULL}";
+  }
 }
 
 TEST(IoBinary, RejectsCorruptTruncatedAndWrongVersionFiles) {
@@ -173,6 +392,52 @@ TEST(IoBinary, RejectsStructurallyCorruptTrees) {
     io::Reader reader(forged(2, 0, 2));
     EXPECT_THROW(meta::RandomForest::load(reader), io::IoError);
   }
+  // Counts the payload cannot hold are corrupt, not an allocation: 2^40
+  // trees or 2^40 nodes must never reach reserve().
+  const auto load_forest = [](std::uint64_t trees, std::uint64_t nodes) {
+    io::Writer writer;
+    forge_forest(writer, 6, trees, nodes);
+    io::Reader reader(writer.finish());
+    return meta::RandomForest::load(reader);
+  };
+  EXPECT_NO_THROW(load_forest(1, 3));  // control: the honest counts load
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (const auto& [trees, nodes] :
+       {std::pair{huge, std::uint64_t{3}}, std::pair{std::uint64_t{1}, huge}}) {
+    try {
+      (void)load_forest(trees, nodes);
+      ADD_FAILURE() << trees << " trees of " << nodes << " nodes loaded";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.kind(), io::ErrorKind::kCorrupt) << e.what();
+    }
+  }
+}
+
+TEST(IoBinary, RejectsCountsThePayloadCannotHold) {
+  const auto expect_corrupt = [](const std::vector<std::uint8_t>& bytes,
+                                 const auto& load, const char* what) {
+    try {
+      io::Reader reader(bytes);
+      (void)load(reader);
+      ADD_FAILURE() << what << " loaded";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.kind(), io::ErrorKind::kCorrupt) << what << ": " << e.what();
+    }
+  };
+  const auto load_detector = [](io::Reader& r) {
+    return core::BpromDetector::load(r);
+  };
+  {  // Control: the forged detector loads.
+    io::Reader reader(seal(forge_detector()));
+    EXPECT_TRUE(core::BpromDetector::load(reader).fitted());
+  }
+  expect_corrupt(seal(forge_detector(std::uint64_t{1} << 40)), load_detector,
+                 "2^40 meta-feature rows");
+
+  // A shape whose product wraps to the (empty) data size.
+  io::Writer wrapped;
+  forge_tensor(wrapped, {std::uint64_t{1} << 32, std::uint64_t{1} << 32}, 0);
+  expect_corrupt(wrapped.finish(), io::load_tensor, "a 2^32 x 2^32 tensor");
 }
 
 TEST(IoBinary, ModelParameterBlobIncludesBatchNormRunningStats) {
@@ -208,8 +473,11 @@ TEST(IoBinary, ModelFileRoundTripPreservesEvalLogits) {
   nn::train_classifier(*model, dataset.train, tc);
 
   const std::string path = temp_path("bprom_test_model.bprom");
-  io::save_model_file(path, *model);
-  auto loaded = io::load_model_file(path);
+  io::Writer writer;
+  model->save(writer);
+  writer.save_file(path);
+  io::Reader reader = io::Reader::from_file(path);
+  auto loaded = nn::Model::load(reader);
   std::remove(path.c_str());
 
   EXPECT_EQ(loaded->arch(), nn::ArchKind::kMobileNetV2Mini);

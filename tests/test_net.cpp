@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -16,10 +17,21 @@
 #include "net/messages.hpp"
 #include "nn/arch.hpp"
 #include "nn/model.hpp"
+#include "util/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace bprom {
 namespace {
+
+/// FNV-1a 64 of a byte string: a digest that is the same on every host.
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 io::Writer tiny_body() {
   io::Writer writer;
@@ -188,7 +200,7 @@ TEST(NetMessages, ZeroStructVersionIsAlsoRefused) {
 }
 
 TEST(NetMessages, AuditResponseRoundTrip) {
-  net::AuditResponseMsg msg;
+  api::AuditResponse msg;
   msg.model_id = "suspect-17";
   msg.detector_version = "market@v3";
   msg.status = api::Status::Ok();
@@ -201,7 +213,7 @@ TEST(NetMessages, AuditResponseRoundTrip) {
   io::Writer writer;
   net::encode_audit_response(writer, msg);
   io::Reader reader(writer.finish());
-  const net::AuditResponseMsg back = net::decode_audit_response(reader);
+  const api::AuditResponse back = net::decode_audit_response(reader);
   EXPECT_EQ(back.model_id, msg.model_id);
   EXPECT_EQ(back.detector_version, msg.detector_version);
   EXPECT_TRUE(back.status.ok());
@@ -345,6 +357,172 @@ TEST(NetMessages, AuditRequestModelRidesByteExact) {
   io::Writer decoded;
   back.model->save(decoded);
   EXPECT_EQ(original.payload(), decoded.payload());
+}
+
+TEST(NetMessages, EveryMessageKeepsItsBytes) {
+  // One of every message, each field set to a distinct literal, pinned by
+  // payload length and FNV-1a-64; each must decode and re-encode to the
+  // same bytes.  A deliberate format change bumps the struct_version (or
+  // kFormatVersion) and re-pins.
+  struct Pinned {
+    std::string name;
+    std::size_t length;
+    std::uint64_t fnv;
+  };
+  const std::vector<Pinned> pinned = {
+      {"NREQ", 21367, 0x4b05069bf49d5f16ULL},
+      {"NRSP", 115, 0x4c0cb7de8ddeafc2ULL},
+      {"NSTQ", 8, 0xe467247e8e569884ULL},
+      {"NSTS", 583, 0xa9e92a9d482e6b2dULL},
+      {"NINQ", 25, 0xd8cc1cf26979e29aULL},
+      {"NINS", 85, 0xe8ee7c8e56fd20e9ULL},
+      {"NERR", 45, 0x06f06e21cf6d7b88ULL},
+      {"NSHQ", 8, 0x5f5b8e412831fd80ULL},
+      {"NSHS", 38, 0x7bc187a1ee0e85bfULL},
+  };
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> actual;
+  const auto reencodes = [](const io::Writer& w, auto decode, auto encode) {
+    io::Reader reader(w.finish());
+    io::Writer again;
+    encode(again, decode(reader));
+    EXPECT_EQ(again.payload(), w.payload());
+  };
+
+  {
+    util::Rng rng(0);
+    auto model =
+        nn::make_model(nn::ArchKind::kMlp, nn::ImageShape{3, 4, 4}, 3, rng);
+    std::vector<float> blob(model->save_parameters().size());
+    for (std::size_t i = 0; i < blob.size(); ++i) {
+      blob[i] = 0.0078125F * static_cast<float>(static_cast<int>(i % 255) - 127);
+    }
+    model->load_parameters(blob);
+    net::AuditRequestMsg msg;
+    msg.model_id = "suspect-17";
+    msg.detector = "market@v3";
+    msg.query_budget = 4584;
+    msg.deadline_ms = 250;
+    io::Writer w;
+    net::encode_audit_request(w, msg, *model);
+    reencodes(w, net::decode_audit_request,
+              [](io::Writer& again, net::AuditRequestMsg back) {
+                net::encode_audit_request(again, back, *back.model);
+              });
+    actual.emplace_back("NREQ", w.payload());
+  }
+  {
+    api::AuditResponse msg;
+    msg.model_id = "suspect-18";
+    msg.detector_version = "market@v4";
+    msg.status = api::Status::BudgetExhausted("spent 4584 of 100 queries");
+    msg.verdict.score = 0.8125;
+    msg.verdict.backdoored = true;
+    msg.verdict.prompted_accuracy = 0.40625;
+    msg.verdict.queries = 39144;
+    msg.verdict.budget_exhausted = false;
+    msg.verdict.deadline_exceeded = true;
+    msg.seconds = 1.5;
+    io::Writer w;
+    net::encode_audit_response(w, msg);
+    reencodes(w, net::decode_audit_response, net::encode_audit_response);
+    actual.emplace_back("NRSP", w.payload());
+  }
+  {
+    io::Writer w;
+    net::encode_stats_request(w);
+    io::Reader reader(w.finish());
+    EXPECT_NO_THROW(net::decode_stats_request(reader));
+    actual.emplace_back("NSTQ", w.payload());
+  }
+  {
+    net::StatsResponseMsg msg;
+    msg.engine.requests = 101;
+    msg.engine.verdicts = 102;
+    msg.engine.queries = 103;
+    msg.engine.rollovers = 104;
+    msg.engine.deadline_misses = 105;
+    msg.engine.store_generation = 106;
+    for (std::size_t s = 0; s < util::kProfileStages; ++s) {
+      util::ProfileStageStats& st = msg.engine.profile.stages[s];
+      const auto base = static_cast<double>(16 * (s + 1));
+      st.count = 10 * s + 1;
+      st.min = 10 * s + 2;
+      st.max = 10 * s + 3;
+      st.sum = base + 0.5;
+      st.p50 = base + 0.25;
+      st.p95 = base + 0.75;
+      st.p99 = base + 0.875;
+    }
+    msg.server.connections_accepted = 201;
+    msg.server.connections_active = 202;
+    msg.server.connections_idle_closed = 203;
+    msg.server.requests_admitted = 204;
+    msg.server.rejected_in_flight = 205;
+    msg.server.rejected_total_in_flight = 206;
+    msg.server.rejected_request_budget = 207;
+    msg.server.rejected_byte_budget = 208;
+    msg.server.rejected_protocol = 209;
+    msg.server.bytes_received = 210;
+    msg.server.bytes_sent = 211;
+    io::Writer w;
+    net::encode_stats_response(w, msg);
+    reencodes(w, net::decode_stats_response, net::encode_stats_response);
+    actual.emplace_back("NSTS", w.payload());
+  }
+  {
+    net::InfoRequestMsg msg;
+    msg.detector = "market@v5";
+    io::Writer w;
+    net::encode_info_request(w, msg);
+    reencodes(w, net::decode_info_request, net::encode_info_request);
+    actual.emplace_back("NINQ", w.payload());
+  }
+  {
+    net::InfoResponseMsg msg;
+    msg.status = api::Status::NotFound("no detector published under 'x'");
+    msg.info.name = "market";
+    msg.info.version = 6;
+    msg.info.source_classes = 10;
+    msg.info.query_samples = 4;
+    io::Writer w;
+    net::encode_info_response(w, msg);
+    reencodes(w, net::decode_info_response, net::encode_info_response);
+    actual.emplace_back("NINS", w.payload());
+  }
+  {
+    net::ErrorMsg msg;
+    msg.status = api::Status::InvalidRequest("unexpected message type 9");
+    io::Writer w;
+    net::encode_error(w, msg);
+    reencodes(w, net::decode_error, net::encode_error);
+    actual.emplace_back("NERR", w.payload());
+  }
+  {
+    io::Writer w;
+    net::encode_shutdown_request(w);
+    io::Reader reader(w.finish());
+    EXPECT_NO_THROW(net::decode_shutdown_request(reader));
+    actual.emplace_back("NSHQ", w.payload());
+  }
+  {
+    net::ShutdownResponseMsg msg;
+    msg.status = api::Status::FailedPrecondition("server is draining");
+    io::Writer w;
+    net::encode_shutdown_response(w, msg);
+    reencodes(w, net::decode_shutdown_response,
+              net::encode_shutdown_response);
+    actual.emplace_back("NSHS", w.payload());
+  }
+
+  ASSERT_EQ(actual.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const auto& [name, payload] = actual[i];
+    EXPECT_EQ(name, pinned[i].name);
+    EXPECT_EQ(payload.size(), pinned[i].length) << name;
+    EXPECT_EQ(fnv1a64(payload), pinned[i].fnv)
+        << name << ": {\"" << name << "\", " << payload.size() << ", 0x"
+        << std::hex << fnv1a64(payload) << "ULL}";
+  }
 }
 
 }  // namespace

@@ -553,7 +553,7 @@ TEST(NetServer, DribbledFramesAssembleWhileOtherConnectionsServe) {
   EXPECT_EQ(header.type, net::MsgType::kAuditResponse);
   EXPECT_EQ(header.request_id, 77U);
   io::Reader reader(std::move(body));
-  const net::AuditResponseMsg response = net::decode_audit_response(reader);
+  const api::AuditResponse response = net::decode_audit_response(reader);
   EXPECT_TRUE(response.status.ok()) << response.status.to_string();
   EXPECT_EQ(response.model_id, "slowpoke");
   EXPECT_EQ(response.verdict.score, local.verdict.score);
@@ -603,7 +603,7 @@ TEST(NetServer, IdleSweepSparesAConnectionWithAnAuditInFlight) {
   ASSERT_TRUE(conn.read_frame(&header, &body));
   ASSERT_EQ(header.type, net::MsgType::kAuditResponse);
   io::Reader reader(std::move(body));
-  const net::AuditResponseMsg response = net::decode_audit_response(reader);
+  const api::AuditResponse response = net::decode_audit_response(reader);
   EXPECT_TRUE(response.status.ok()) << response.status.to_string();
   EXPECT_GT(response.seconds, 0.020);  // sweeps ran while it was in flight
 
