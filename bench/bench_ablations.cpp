@@ -1,5 +1,5 @@
-// Ablations called out in DESIGN.md §7: meta-model choice, prompt optimizer,
-// query count, prompt ensembling.
+// Ablations of the detector's design choices: meta-model choice, prompt
+// optimizer, query count, prompt ensembling.
 #include "common.hpp"
 int main() {
   using namespace bench;

@@ -17,7 +17,7 @@ int main() {
                    util::cell(cfg.alpha, 2),
                    attacks::is_clean_label(kind) ? "yes" : "no"});
   }
-  std::printf("== Table 13: attack configurations (substrate-scaled; see EXPERIMENTS.md) ==\n");
+  std::printf("== Table 13: attack configurations (rates scaled to the synthetic substrate) ==\n");
   table.print();
   return 0;
 }

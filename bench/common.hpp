@@ -2,7 +2,7 @@
 //
 // Every bench regenerates one table or figure from the paper.  Cost scales
 // with BPROM_SCALE (0 = smoke, 1 = default, 2 = heavy); absolute numbers are
-// substrate-scale, the shapes are the reproduction target (EXPERIMENTS.md).
+// substrate-scale, the shapes are the reproduction target.
 // Each binary prints the reproduced rows and per-stage wall-clock timings.
 #pragma once
 

@@ -1,6 +1,7 @@
 // Adaptive attacker study (§6.4): sweep the poison rate down to 0.2 % and
 // try clean-label SIG — watch ASR decay while detection holds (or degrades
-// gracefully at substrate scale; see EXPERIMENTS.md).
+// gracefully at substrate scale, where a 0.2 % rate poisons only a few
+// training images).
 #include <cstdio>
 #include "core/experiment.hpp"
 

@@ -65,8 +65,8 @@ int main() {
   const bool correct = !v1.backdoored && v2.backdoored;
   std::printf("\nverdict pair %s", correct ? "CORRECT\n" : "incorrect ");
   if (!correct) {
-    std::printf("(expected at smoke scale: 2+2 shadows; see EXPERIMENTS.md "
-                "\"known attenuation\"; rerun with BPROM_SCALE=2)\n");
+    std::printf("(expected at smoke scale: 2+2 shadows are too few for the "
+                "forest; rerun with BPROM_SCALE=2)\n");
   }
   return 0;
 }

@@ -50,8 +50,8 @@ struct AttackConfig {
   /// Fixes the trigger pattern itself.
   std::uint64_t seed = 7;
 
-  /// Paper-style defaults per attack kind (Table 13 rates are scaled to the
-  /// synthetic substrate's training-set sizes; see DESIGN.md).
+  /// Paper-style defaults per attack kind (Table 13 rates, scaled to the
+  /// synthetic substrate's much smaller training sets).
   static AttackConfig defaults(AttackKind kind, int target_class = 0,
                                std::uint64_t seed = 7);
 };

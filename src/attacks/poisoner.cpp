@@ -109,18 +109,8 @@ double attack_success_rate(nn::Model& model, const LabeledData& clean_test,
   engine.apply_all(stamped.images);
 
   std::size_t hits = 0;
-  constexpr std::size_t kBatch = 128;
-  const std::size_t sample = stamped.images.size() / stamped.size();
-  for (std::size_t begin = 0; begin < stamped.size(); begin += kBatch) {
-    const std::size_t end = std::min(begin + kBatch, stamped.size());
-    std::vector<std::size_t> shape = stamped.images.shape();
-    shape[0] = end - begin;
-    nn::Tensor batch(shape);
-    std::copy(stamped.images.data() + begin * sample,
-              stamped.images.data() + end * sample, batch.data());
-    for (int pred : model.predict(batch)) {
-      if (pred == config.target_class) ++hits;
-    }
+  for (int pred : model.predict(stamped.images)) {
+    if (pred == config.target_class) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(stamped.size());
 }

@@ -26,9 +26,9 @@ std::uint64_t image_hash(const float* img, std::size_t n) {
 
 // Trigger placement note: every pixel-space trigger artifact is confined to
 // the central content region (the half-size window that visual prompting's
-// resize preserves).  Rationale (DESIGN.md §2): the VP border must not be
-// able to *express* the trigger, otherwise the learned prompt can exploit
-// the backdoor as a control knob and the class-subspace-inconsistency signal
+// resize preserves).  Rationale: the VP border must not be able to
+// *express* the trigger, otherwise the learned prompt can exploit the
+// backdoor as a control knob and the class-subspace-inconsistency signal
 // inverts; confining triggers to content pixels mirrors the paper's geometry
 // where prompts are low-magnitude border noise on much larger canvases.
 

@@ -56,9 +56,10 @@ BpromDetector::Observation BpromDetector::observe_member(
   }
 
   // Block 2 — distribution-level class-subspace-inconsistency summaries
-  // over the full D_T sets (low-variance forms of the paper's signal; see
-  // DESIGN.md §2).  All derive from black-box confidence vectors.  The
-  // confusion matrix is flattened target-major.
+  // over the full D_T sets (low-variance forms of the paper's signal: they
+  // average over every D_T sample, not q queries).  All derive from
+  // black-box confidence vectors.  The confusion matrix is flattened
+  // target-major.
   std::vector<std::size_t> pred_hist(k, 0);
   std::vector<std::size_t> class_n(target_classes_, 0);
   std::vector<std::size_t> confusion(target_classes_ * k, 0);

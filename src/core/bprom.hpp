@@ -66,7 +66,8 @@ struct BpromConfig {
   bool include_query_features = true;
   /// Sort each query's confidence vector descending before concatenation.
   /// Makes the meta features invariant to which class the attacker targets
-  /// (the paper compensates with many more trees/shadows; see DESIGN.md §2).
+  /// (the paper instead compensates with many more trees and shadows than
+  /// CPU-scale fitting affords).
   bool sort_confidence_features = true;
   std::uint64_t seed = 29;
 };

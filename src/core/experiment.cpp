@@ -70,7 +70,8 @@ TrainedSuspicious train_clean_model(const data::Dataset& dataset,
   const auto train = training_slice(dataset, scale, rng);
   nn::train_classifier(*out.model, train,
                        suspicious_train_config(scale, rng.next_u64()));
-  out.clean_accuracy = nn::evaluate_accuracy(*out.model, dataset.test);
+  out.clean_accuracy =
+      out.model->accuracy(dataset.test.images, dataset.test.labels);
   return out;
 }
 
@@ -88,7 +89,8 @@ TrainedSuspicious train_backdoored_model(const data::Dataset& dataset,
   auto poisoned = attacks::poison_dataset(train, attack, rng);
   nn::train_classifier(*out.model, poisoned.data,
                        suspicious_train_config(scale, rng.next_u64()));
-  out.clean_accuracy = nn::evaluate_accuracy(*out.model, dataset.test);
+  out.clean_accuracy =
+      out.model->accuracy(dataset.test.images, dataset.test.labels);
   out.asr = attacks::attack_success_rate(*out.model, dataset.test, attack);
   return out;
 }
@@ -132,7 +134,8 @@ BpromConfig default_bprom_config(const ExperimentScale& scale,
   cfg.prompt_blackbox.max_evaluations = scale.blackbox_evals;
   cfg.forest.trees = scale.forest_trees;
   // Match the shadow poisoning strength to the attack strengths used on
-  // suspicious models (regime alignment; DESIGN.md §2).
+  // suspicious models, so the forest learns from backdoors as strong as
+  // the ones it inspects.
   cfg.shadow_poison_rate = 0.30;
   cfg.seed = seed;
   return cfg;

@@ -6,9 +6,9 @@
 // cluster geometry, and an identity seed so that (say) cifar10-like and
 // stl10-like are *different* distributions with the class-cluster structure
 // BPROM's analysis depends on.  Class counts for the very large datasets are
-// scaled down (documented in DESIGN.md) to keep CPU training tractable while
-// preserving the "many more classes than the target task" property the
-// corresponding experiments test.
+// scaled down to keep CPU training tractable while preserving the "many
+// more classes than the target task" property the corresponding
+// experiments test.
 #pragma once
 
 #include <cstdint>

@@ -13,26 +13,14 @@
 namespace bprom::defenses {
 namespace {
 
-/// Penultimate features for the whole set, batched.
+/// Penultimate features for the whole set.
 linalg::Matrix features_of(nn::Model& model, const LabeledData& data) {
   const std::size_t n = data.size();
   const std::size_t d = model.feature_dim();
   linalg::Matrix out(n, d);
-  constexpr std::size_t kBatch = 128;
-  const std::size_t sample = data.images.size() / n;
-  for (std::size_t begin = 0; begin < n; begin += kBatch) {
-    const std::size_t end = std::min(begin + kBatch, n);
-    std::vector<std::size_t> shape = data.images.shape();
-    shape[0] = end - begin;
-    nn::Tensor batch(shape);
-    std::copy(data.images.data() + begin * sample,
-              data.images.data() + end * sample, batch.data());
-    nn::Tensor f = model.features(batch);
-    for (std::size_t i = 0; i < end - begin; ++i) {
-      for (std::size_t j = 0; j < d; ++j) {
-        out(begin + i, j) = f.data()[i * d + j];
-      }
-    }
+  const nn::Tensor f = model.features(data.images);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) out(i, j) = f.data()[i * d + j];
   }
   return out;
 }

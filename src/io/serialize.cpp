@@ -16,6 +16,8 @@ namespace {
 // Far above every real substrate (16x16 canvases, <=200 classes).
 constexpr std::size_t kMaxImagePixels = std::size_t{1} << 26;
 constexpr std::size_t kMaxClasses = std::size_t{1} << 20;
+// Every configuration in use learns 1 or 2 prompts per inspection.
+constexpr std::size_t kMaxPromptEnsemble = 64;
 
 template <class Ar, class T>
 void tensor_fields(Ar& ar, T& t) {
@@ -182,19 +184,20 @@ std::unique_ptr<Model> Model::load(io::Reader& reader) {
   }
   std::vector<float> blob;
   reader(blob);
-
-  // Rebuild the layer graph from the architecture descriptor, then
-  // overwrite every parameter and state buffer — the init Rng is dummy.
-  util::Rng rng(0);
-  auto model = make_model(arch, input, classes, rng);
-  std::size_t expected = 0;
-  for (auto* p : model->parameters()) expected += p->value.size();
-  for (auto* s : model->state_buffers()) expected += s->size();
+  // The descriptor alone fixes the blob length, so a mismatch is refused
+  // before any layer is built: a load commits memory in proportion to the
+  // bytes it read, never to the shape a header declares.
+  const std::size_t expected = parameter_count(arch, input, classes);
   if (blob.size() != expected) {
     throw io::IoError("model weight blob size mismatch: file has " +
                       std::to_string(blob.size()) + " floats, architecture " +
                       arch_name(arch) + " needs " + std::to_string(expected));
   }
+
+  // Rebuild the layer graph from the architecture descriptor, then
+  // overwrite every parameter and state buffer — the init Rng is dummy.
+  util::Rng rng(0);
+  auto model = make_model(arch, input, classes, rng);
   model->load_parameters(blob);
   return model;
 }
@@ -252,6 +255,28 @@ void BpromDetector::save(io::Writer& writer) const {
 BpromDetector BpromDetector::load(io::Reader& reader) {
   BpromDetector detector;
   fields(reader, detector);
+  // What fit() establishes, so a container save() could never have written
+  // is refused here rather than failing every audit it serves.
+  if (detector.target_classes_ == 0 ||
+      detector.target_classes_ > detector.source_classes_ ||
+      detector.source_classes_ > io::kMaxClasses) {
+    throw io::IoError("detector class counts out of range");
+  }
+  for (const nn::LabeledData* set : {&detector.target_train_,
+                                     &detector.target_test_,
+                                     &detector.query_set_}) {
+    for (const int label : set->labels) {
+      if (label < 0 ||
+          static_cast<std::size_t>(label) >= detector.target_classes_) {
+        throw io::IoError("detector label outside its target classes");
+      }
+    }
+  }
+  // inspect() allocates and runs one prompt-learning member per unit of
+  // prompt_ensemble (0 runs as 1).
+  if (detector.config_.prompt_ensemble > io::kMaxPromptEnsemble) {
+    throw io::IoError("detector prompt ensemble out of range");
+  }
   detector.fitted_ = true;
   return detector;
 }

@@ -1,7 +1,7 @@
 // Random-forest binary classifier — the paper's meta-model f_meta.
 //
 // The paper uses 10,000 trees; tree count is configurable and AUROC
-// saturates at a few hundred at this problem scale (DESIGN.md §2).
+// saturates at a few hundred at this problem scale.
 #pragma once
 
 #include "meta/decision_tree.hpp"

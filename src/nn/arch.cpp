@@ -108,7 +108,67 @@ std::unique_ptr<Model> make_mlp(ImageShape input, std::size_t classes,
                                  classes);
 }
 
+// Floats each building block adds to save_parameters(): its parameters
+// plus its state (BatchNorm's running mean and variance).  They mirror the
+// builders above; parameter_count's test holds them to make_model.
+std::size_t conv_floats(std::size_t in_c, std::size_t out_c,
+                        std::size_t kernel) {
+  return out_c * in_c * kernel * kernel + out_c;
+}
+
+std::size_t batchnorm_floats(std::size_t c) { return 4 * c; }
+
+std::size_t linear_floats(std::size_t in, std::size_t out) {
+  return out * in + out;
+}
+
+std::size_t attention_floats(std::size_t c) { return 4 * c * c; }
+
+std::size_t residual_floats(std::size_t in_c, std::size_t out_c) {
+  // Every residual block in use changes width, so it carries a projection.
+  return conv_floats(in_c, out_c, 3) + batchnorm_floats(out_c) +
+         conv_floats(out_c, out_c, 3) + batchnorm_floats(out_c) +
+         conv_floats(in_c, out_c, 1) + batchnorm_floats(out_c);
+}
+
+std::size_t separable_floats(std::size_t in_c, std::size_t out_c) {
+  const std::size_t depthwise = 9 * in_c + in_c;  // 3x3 taps and a bias
+  return depthwise + batchnorm_floats(in_c) + conv_floats(in_c, out_c, 1) +
+         batchnorm_floats(out_c);
+}
+
 }  // namespace
+
+std::size_t parameter_count(ArchKind kind, ImageShape input,
+                            std::size_t classes) {
+  const std::size_t c = input.channels;
+  switch (kind) {
+    case ArchKind::kResNet18Mini:
+      return conv_floats(c, 4, 3) + batchnorm_floats(4) +
+             residual_floats(4, 8) + residual_floats(8, 16) +
+             linear_floats(16, classes);
+    case ArchKind::kMobileNetV2Mini:
+      return conv_floats(c, 8, 3) + batchnorm_floats(8) +
+             separable_floats(8, 16) + separable_floats(16, 16) +
+             separable_floats(16, 32) + linear_floats(32, classes);
+    case ArchKind::kMobileViTMini:
+      return conv_floats(c, 8, 3) + batchnorm_floats(8) +
+             separable_floats(8, 16) + separable_floats(16, 16) +
+             attention_floats(16) + batchnorm_floats(16) +
+             conv_floats(16, 32, 1) + batchnorm_floats(32) +
+             linear_floats(32, classes);
+    case ArchKind::kSwinMini:
+      return conv_floats(c, 16, 2) + batchnorm_floats(16) +
+             attention_floats(16) + batchnorm_floats(16) +
+             conv_floats(16, 32, 2) + batchnorm_floats(32) +
+             attention_floats(32) + batchnorm_floats(32) +
+             linear_floats(32, classes);
+    case ArchKind::kMlp:
+      return linear_floats(input.size(), 64) + linear_floats(64, 32) +
+             linear_floats(32, classes);
+  }
+  return 0;
+}
 
 std::unique_ptr<Model> make_model(ArchKind kind, ImageShape input,
                                   std::size_t classes, util::Rng& rng) {

@@ -32,4 +32,10 @@ enum class ArchKind {
 std::unique_ptr<Model> make_model(ArchKind kind, ImageShape input,
                                   std::size_t classes, util::Rng& rng);
 
+/// Length of make_model(kind, input, classes, ...)->save_parameters(),
+/// computed without building a layer: a loader checks a weight blob
+/// against it before the model commits any memory.
+[[nodiscard]] std::size_t parameter_count(ArchKind kind, ImageShape input,
+                                          std::size_t classes);
+
 }  // namespace bprom::nn

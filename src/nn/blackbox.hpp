@@ -40,9 +40,11 @@ class BlackBoxModel {
 
 /// Adapter exposing a concrete Model through the black-box interface:
 /// nothing beyond confidence vectors crosses it.  Model::predict_proba
-/// writes no state, so concurrent queries are safe.  The adapter either
-/// borrows a caller-owned model or owns one outright (what serving code
-/// uses for models loaded from disk).
+/// writes no state, so concurrent queries are safe, and it runs a query's
+/// rows as fixed 16-row chunks on the pool, so even a single query of a
+/// few dozen rows spreads over several cores.  The adapter either borrows
+/// a caller-owned model or owns one outright (what serving code uses for
+/// models loaded from disk).
 class BlackBoxAdapter final : public BlackBoxModel {
  public:
   /// Borrow `model`; it must outlive the adapter.

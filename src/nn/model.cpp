@@ -1,10 +1,21 @@
 #include "nn/model.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "nn/loss.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bprom::nn {
+namespace {
+
+// Rows per inference task.  A 48-row query falls below every per-layer
+// sharding gate, so unchunked it runs on one thread; as three chunks it
+// runs on three.  The size is a constant, never derived from the pool
+// size, so the work split is the same on every host.
+constexpr std::size_t kInferChunkRows = 16;
+
+}  // namespace
 
 Model::Model(std::unique_ptr<Sequential> backbone,
              std::unique_ptr<Linear> head, ImageShape input,
@@ -21,16 +32,50 @@ Tensor Model::logits(const Tensor& images, bool train) {
   return head_->forward(std::move(f), train);
 }
 
+Tensor Model::infer_rows(const Tensor& images, Stage stage) const {
+  const auto run = [&](const Tensor& x) {
+    Tensor h = backbone_->infer(x);
+    if (stage == Stage::kFeatures) return h;
+    h = head_->infer(h);
+    if (stage == Stage::kProbabilities) return softmax(h);
+    return h;
+  };
+  const std::size_t n = images.dim(0);
+  if (n <= kInferChunkRows) return run(images);
+
+  // Each chunk copies its input rows out, runs the whole stack on them and
+  // writes its output rows into place: chunks own disjoint rows, so they
+  // run as tasks of one parallel_for with nothing shared but `out`.
+  const std::size_t width =
+      stage == Stage::kFeatures ? feature_dim() : classes_;
+  const std::size_t sample = images.size() / n;
+  Tensor out({n, width});
+  util::parallel_for(
+      (n + kInferChunkRows - 1) / kInferChunkRows, [&](std::size_t c) {
+        const std::size_t lo = c * kInferChunkRows;
+        const std::size_t hi = std::min(lo + kInferChunkRows, n);
+        std::vector<std::size_t> shape = images.shape();
+        shape[0] = hi - lo;
+        Tensor x(std::move(shape));
+        std::copy(images.data() + lo * sample, images.data() + hi * sample,
+                  x.data());
+        const Tensor y = run(x);
+        assert(y.size() == (hi - lo) * width);
+        std::copy(y.data(), y.data() + y.size(), out.data() + lo * width);
+      });
+  return out;
+}
+
 Tensor Model::features(const Tensor& images) const {
-  return backbone_->infer(images);
+  return infer_rows(images, Stage::kFeatures);
 }
 
 Tensor Model::predict_proba(const Tensor& images) const {
-  return softmax(head_->infer(features(images)));
+  return infer_rows(images, Stage::kProbabilities);
 }
 
 std::vector<int> Model::predict(const Tensor& images) const {
-  Tensor l = head_->infer(features(images));
+  const Tensor l = infer_rows(images, Stage::kLogits);
   const std::size_t n = l.dim(0);
   std::vector<int> out(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -40,7 +40,13 @@ class Model {
   Tensor logits(const Tensor& images, bool train = false);
 
   // The eval-only methods below run Layer::infer: they write nothing, so
-  // any number of threads may call them at once.
+  // any number of threads may call them at once.  Each splits the batch
+  // into fixed 16-row chunks and carries every chunk through the whole
+  // layer stack as one task of a single parallel_for (a batch of at most
+  // one chunk runs inline).  Every layer computes an inference row from
+  // that row alone, so the result equals the full-batch eval forward
+  // logits(images, false) bit for bit, for any chunk boundaries and any
+  // thread count.
 
   /// Penultimate features [N, D] (backbone output, eval mode).
   Tensor features(const Tensor& images) const;
@@ -91,6 +97,14 @@ class Model {
   static std::unique_ptr<Model> load(io::Reader& reader);
 
  private:
+  /// How far infer_rows() carries each row.
+  enum class Stage { kFeatures, kLogits, kProbabilities };
+
+  /// The one inference driver behind the eval-only methods: [N, D]
+  /// features, [N, K] logits or [N, K] probabilities, computed chunk by
+  /// chunk into one preallocated output.
+  Tensor infer_rows(const Tensor& images, Stage stage) const;
+
   std::unique_ptr<Sequential> backbone_;
   std::unique_ptr<Linear> head_;
   ImageShape input_;

@@ -65,24 +65,4 @@ TrainHistory train_classifier(Model& model, const LabeledData& data,
   return history;
 }
 
-double evaluate_accuracy(Model& model, const LabeledData& data,
-                         std::size_t batch_size) {
-  if (data.size() == 0) return 0.0;
-  const std::size_t sample = data.images.size() / data.size();
-  std::size_t hits = 0;
-  for (std::size_t begin = 0; begin < data.size(); begin += batch_size) {
-    const std::size_t end = std::min(begin + batch_size, data.size());
-    std::vector<std::size_t> shape = data.images.shape();
-    shape[0] = end - begin;
-    Tensor batch(shape);
-    std::copy(data.images.data() + begin * sample,
-              data.images.data() + end * sample, batch.data());
-    const auto preds = model.predict(batch);
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      if (preds[i] == data.labels[begin + i]) ++hits;
-    }
-  }
-  return static_cast<double>(hits) / static_cast<double>(data.size());
-}
-
 }  // namespace bprom::nn

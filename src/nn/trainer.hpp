@@ -37,8 +37,4 @@ struct TrainHistory {
 TrainHistory train_classifier(Model& model, const LabeledData& data,
                               const TrainConfig& config);
 
-/// Evaluate accuracy in batches (avoids giant activations on big sets).
-double evaluate_accuracy(Model& model, const LabeledData& data,
-                         std::size_t batch_size = 128);
-
 }  // namespace bprom::nn

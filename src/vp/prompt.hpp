@@ -22,7 +22,7 @@ enum class PromptMode {
   /// Full-canvas additive perturbation on top of the embedded target image
   /// (model-reprogramming style, Tsai et al. 2020).  Higher capacity; the
   /// library default because the miniature substrate needs the extra
-  /// adaptation power for clean models to prompt well (DESIGN.md §2).
+  /// adaptation power for clean models to prompt well.
   kAdditive,
   /// Additive perturbation parameterized by a coarse 4x4 grid per channel,
   /// bilinearly upsampled to the canvas.  48 parameters instead of ~770 —

@@ -1,8 +1,8 @@
 #include "vp/prompted_model.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace bprom::vp {
@@ -25,36 +25,18 @@ Tensor PromptedModel::predict_proba(const Tensor& target_images) const {
 double PromptedModel::accuracy(const nn::LabeledData& target_data) const {
   if (target_data.size() == 0) return 0.0;
   const std::size_t k = model_->num_classes();
+  const Tensor probs = predict_proba(target_data.images);
   std::size_t hits = 0;
-  constexpr std::size_t kBatch = 128;
-  const std::size_t sample = target_data.images.size() / target_data.size();
-  // One staging tensor reused across full batches; only the final ragged
-  // batch (if any) reshapes it.  accuracy() is the inner loop of prompt
-  // learning, so the per-batch allocation used to dominate small models.
-  std::vector<std::size_t> shape = target_data.images.shape();
-  shape[0] = std::min(kBatch, target_data.size());
-  Tensor batch(shape);
-  for (std::size_t begin = 0; begin < target_data.size(); begin += kBatch) {
-    const std::size_t end = std::min(begin + kBatch, target_data.size());
-    if (end - begin != batch.dim(0)) {
-      shape[0] = end - begin;
-      batch = Tensor(shape);
+  for (std::size_t i = 0; i < target_data.size(); ++i) {
+    const float* row = probs.data() + i * k;
+    std::size_t arg = 0;
+    for (std::size_t j = 1; j < k; ++j) {
+      if (row[j] > row[arg]) arg = j;
     }
-    std::copy(target_data.images.data() + begin * sample,
-              target_data.images.data() + end * sample, batch.data());
-    Tensor probs = predict_proba(batch);
-    for (std::size_t i = 0; i < end - begin; ++i) {
-      const float* row = probs.data() + i * k;
-      std::size_t arg = 0;
-      for (std::size_t j = 1; j < k; ++j) {
-        if (row[j] > row[arg]) arg = j;
-      }
-      const int label = target_data.labels[begin + i];
-      const int expected =
-          mapping_.empty() ? label
-                           : mapping_[static_cast<std::size_t>(label)];
-      if (static_cast<int>(arg) == expected) ++hits;
-    }
+    const int label = target_data.labels[i];
+    const int expected =
+        mapping_.empty() ? label : mapping_[static_cast<std::size_t>(label)];
+    if (static_cast<int>(arg) == expected) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(target_data.size());
 }

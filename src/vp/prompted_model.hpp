@@ -28,7 +28,7 @@ class PromptedModel {
   /// is the source class assigned to target class t.  On the synthetic
   /// substrate the identity mapping would measure alignment luck between
   /// unrelated class geometries, so the library learns a frequency-based
-  /// one-to-one mapping instead (documented in DESIGN.md).
+  /// one-to-one mapping instead.
   void set_label_mapping(std::vector<int> target_to_source);
   [[nodiscard]] const std::vector<int>& label_mapping() const {
     return mapping_;

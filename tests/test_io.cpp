@@ -2,6 +2,8 @@
 // malformed containers must be rejected loudly.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -91,10 +93,20 @@ void forge_forest(io::Writer& w, std::uint64_t feature_dim,
   forge_tree_node(w, -1, 0.0F, 0.875, -1, -1);
 }
 
+/// The detector fields a test may forge; the defaults give a container
+/// `BpromDetector::save` could have written.
+struct DetectorForgery {
+  std::uint64_t meta_rows = 3;
+  std::uint64_t prompt_ensemble = 3;
+  std::uint64_t source_classes = 3;
+  std::uint64_t target_classes = 3;
+};
+
 /// A fitted detector as `BpromDetector::save` writes it: every config field
-/// set to a distinct value, three DATA chunks, a one-tree forest over the
-/// 4 meta features, and diagnostics with `meta_rows` declared rows.
-std::vector<std::uint8_t> forge_detector(std::uint64_t meta_rows = 3) {
+/// set to a distinct value, three DATA chunks (labels 0..2), a one-tree
+/// forest over the 4 meta features, and diagnostics with `meta_rows`
+/// declared rows.
+std::vector<std::uint8_t> forge_detector(const DetectorForgery& f = {}) {
   io::Writer w;
   w.write_tag("DTCT");
   w.write_u32(1);       // shadow_arch: kMobileNetV2Mini
@@ -126,12 +138,12 @@ std::vector<std::uint8_t> forge_detector(std::uint64_t meta_rows = 3) {
   w.write_u64(3);       // forest.tree.feature_subsample
   w.write_u64(37);      // forest.seed
   w.write_u8(0);        // prompt_shadows_blackbox
-  w.write_u64(3);       // prompt_ensemble
+  w.write_u64(f.prompt_ensemble);
   w.write_u8(1);        // include_query_features
   w.write_u8(0);        // sort_confidence_features
   w.write_u64(41);      // seed
-  w.write_u64(3);       // source_classes
-  w.write_u64(3);       // target_classes
+  w.write_u64(f.source_classes);
+  w.write_u64(f.target_classes);
   forge_data(w, 4, 0);    // target_train
   forge_data(w, 3, 16);   // target_test
   forge_data(w, 2, 28);   // query_set
@@ -141,7 +153,7 @@ std::vector<std::uint8_t> forge_detector(std::uint64_t meta_rows = 3) {
   w.write_f64(0.75);
   w.write_u64(1);       // backdoor_shadow_prompted_accuracy
   w.write_f64(0.25);
-  w.write_u64(meta_rows);  // meta_features
+  w.write_u64(f.meta_rows);  // meta_features
   for (std::size_t r = 0; r < 3; ++r) {
     w.write_u64(4);
     for (std::size_t c = 0; c < 4; ++c) w.write_f32(pattern(40 + 4 * r + c));
@@ -431,13 +443,84 @@ TEST(IoBinary, RejectsCountsThePayloadCannotHold) {
     io::Reader reader(seal(forge_detector()));
     EXPECT_TRUE(core::BpromDetector::load(reader).fitted());
   }
-  expect_corrupt(seal(forge_detector(std::uint64_t{1} << 40)), load_detector,
-                 "2^40 meta-feature rows");
+  expect_corrupt(seal(forge_detector({.meta_rows = std::uint64_t{1} << 40})),
+                 load_detector, "2^40 meta-feature rows");
 
   // A shape whose product wraps to the (empty) data size.
   io::Writer wrapped;
   forge_tensor(wrapped, {std::uint64_t{1} << 32, std::uint64_t{1} << 32}, 0);
   expect_corrupt(wrapped.finish(), io::load_tensor, "a 2^32 x 2^32 tensor");
+}
+
+// A model container states its architecture, input shape and class count
+// before its weights, and those alone fix the weight count.  A 68-byte
+// container declaring a 3x512x512 Mlp (50 M weights) with an empty blob
+// must be refused before the model is built, not after.
+TEST(IoBinary, RefusesAMismatchedModelBlobBeforeBuildingTheModel) {
+  io::Writer w;
+  w.tag("MODL");
+  w.enumeration(nn::ArchKind::kMlp, nn::ArchKind::kMlp, "architecture");
+  w(std::size_t{3}, std::size_t{512}, std::size_t{512}, std::size_t{10},
+    std::vector<float>{});
+  const std::vector<std::uint8_t> bytes = w.finish();
+  EXPECT_EQ(bytes.size(), 68U);
+
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  try {
+    io::Reader reader(bytes);
+    (void)nn::Model::load(reader);
+    ADD_FAILURE() << "a model with an empty weight blob loaded";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.kind(), io::ErrorKind::kCorrupt) << e.what();
+  }
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  // ru_maxrss is in KiB on Linux; building the model would add ~400 MB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32L * 1024);
+}
+
+// BpromDetector::load refuses what fit() never writes: class counts out of
+// order, a stored label outside the target classes, or a prompt ensemble
+// no configuration uses (2^40 members used to end every audit in
+// std::bad_alloc).
+TEST(IoBinary, RefusesADetectorWithAnAbsurdPromptEnsemble) {
+  for (const std::uint64_t ensemble : {std::uint64_t{0}, std::uint64_t{2}}) {
+    io::Reader reader(seal(forge_detector({.prompt_ensemble = ensemble})));
+    EXPECT_TRUE(core::BpromDetector::load(reader).fitted()) << ensemble;
+  }
+  for (const std::uint64_t ensemble :
+       {std::uint64_t{1} << 16, std::uint64_t{1} << 40}) {
+    try {
+      io::Reader reader(seal(forge_detector({.prompt_ensemble = ensemble})));
+      (void)core::BpromDetector::load(reader);
+      ADD_FAILURE() << "prompt_ensemble " << ensemble << " loaded";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.kind(), io::ErrorKind::kCorrupt) << e.what();
+    }
+  }
+}
+
+TEST(IoBinary, RefusesADetectorWhoseClassesFitCouldNotHaveStored) {
+  const std::vector<std::pair<const char*, DetectorForgery>> forged = {
+      {"no target classes", {.target_classes = 0}},
+      {"more target than source classes",
+       {.source_classes = 2, .target_classes = 3}},
+      {"2^40 source classes",
+       {.source_classes = std::uint64_t{1} << 40, .target_classes = 3}},
+      // The forged DATA chunks hold labels 0..2.
+      {"a label at the target class count",
+       {.source_classes = 3, .target_classes = 2}},
+  };
+  for (const auto& [what, forgery] : forged) {
+    try {
+      io::Reader reader(seal(forge_detector(forgery)));
+      (void)core::BpromDetector::load(reader);
+      ADD_FAILURE() << what << " loaded";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.kind(), io::ErrorKind::kCorrupt) << what << ": " << e.what();
+    }
+  }
 }
 
 TEST(IoBinary, ModelParameterBlobIncludesBatchNormRunningStats) {

@@ -48,6 +48,7 @@ Rules fixture_rules() {
       "rule hot-path-alloc on\n"
       "rule relaxed-comment on\n"
       "rule float-accum on\n"
+      "rule pool-size on\n"
       "hot-path lint_fixtures/hot_alloc.cpp\n");
   std::string error;
   Rules rules = Rules::parse(config, &error);
@@ -112,13 +113,15 @@ TEST(LintFixtures, UnorderedContainer) { check_fixture("unordered.cpp"); }
 TEST(LintFixtures, HotPathAlloc) { check_fixture("hot_alloc.cpp"); }
 TEST(LintFixtures, RelaxedComment) { check_fixture("relaxed.cpp"); }
 TEST(LintFixtures, FloatAccum) { check_fixture("float_accum.cpp"); }
+TEST(LintFixtures, PoolSize) { check_fixture("pool_size.cpp"); }
 
 // Each fixture must actually exercise its rule (no silently-empty files),
 // and the escape hatch must be exercised somewhere.
 TEST(LintFixtures, EveryRuleHasTeeth) {
   const char* fixtures[] = {"raw_thread.cpp",  "raw_rand.cpp",
                             "unordered.cpp",   "hot_alloc.cpp",
-                            "relaxed.cpp",     "float_accum.cpp"};
+                            "relaxed.cpp",     "float_accum.cpp",
+                            "pool_size.cpp"};
   bool any_allow = false;
   for (const char* name : fixtures) {
     const std::string text =
@@ -204,11 +207,14 @@ TEST(LintRules, RepoConfigKeepsEveryRuleOn) {
   ASSERT_TRUE(error.empty()) << error;
   for (const char* rule :
        {"raw-thread", "raw-rand", "unordered-container", "hot-path-alloc",
-        "relaxed-comment", "float-accum", "failpoint-name"}) {
+        "relaxed-comment", "float-accum", "pool-size", "failpoint-name"}) {
     EXPECT_TRUE(rules.rule_on(rule)) << rule << " is off in lint_rules.txt";
   }
   // The hot-path discipline must keep covering the GEMM kernel layer.
   EXPECT_TRUE(rules.hot_path("src/tensor/gemm.cpp"));
+  // Only util may size work by, or choose, a pool.
+  EXPECT_TRUE(rules.exempted("pool-size", "src/util/thread_pool.cpp"));
+  EXPECT_FALSE(rules.exempted("pool-size", "src/nn/model.cpp"));
 }
 
 // ---- failpoint-name: the cross-file registry/site pass ----

@@ -161,10 +161,10 @@ TEST(ParallelInspect, OneInspectionQueriesEachTargetSetOncePerMember) {
   RowLoggingBox box(*suspicious.model);
   const auto verdict = detector.inspect(box);
 
-  // Per member: one pass over D_T^train (256 rows) feeding both the output
-  // mapping and the meta features, one over D_Q (q = 4), one over D_T^test
-  // (160 rows in accuracy()'s 128 + 32 batches); every other call is a
-  // prompt-learning evaluation of eval_samples rows.
+  // Per member: one call over D_T^train (256 rows) feeding both the output
+  // mapping and the meta features, one over D_Q (q = 4) and one over
+  // D_T^test (160 rows); every other call is a prompt-learning evaluation
+  // of eval_samples rows.
   std::map<std::size_t, std::size_t> calls;
   std::size_t total = 0;
   for (std::size_t rows : box.rows()) {
@@ -173,10 +173,9 @@ TEST(ParallelInspect, OneInspectionQueriesEachTargetSetOncePerMember) {
   }
   EXPECT_EQ(calls[256], 2U);
   EXPECT_EQ(calls[4], 2U);
-  EXPECT_EQ(calls[128], 2U);
-  EXPECT_EQ(calls[32], 2U);
+  EXPECT_EQ(calls[160], 2U);
   for (const auto& [rows, count] : calls) {
-    if (rows == 256 || rows == 4 || rows == 128 || rows == 32) continue;
+    if (rows == 256 || rows == 4 || rows == 160) continue;
     EXPECT_EQ(rows, 48U) << count << " calls of " << rows << " rows";
   }
   EXPECT_EQ(verdict.queries, total);

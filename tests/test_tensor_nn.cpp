@@ -415,10 +415,31 @@ TEST_P(ArchTest, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_FLOAT_EQ(a[i], b[i]);
 }
 
+// A model loader checks the weight blob against parameter_count before it
+// builds anything, so the count must equal the built model's blob length.
+TEST_P(ArchTest, ParameterCountMatchesTheBuiltModel) {
+  for (const ImageShape shape : {ImageShape{3, 16, 16}, ImageShape{1, 8, 12}}) {
+    for (const std::size_t classes : {std::size_t{2}, std::size_t{10}}) {
+      util::Rng rng(13);
+      auto model = make_model(GetParam(), shape, classes, rng);
+      EXPECT_EQ(parameter_count(GetParam(), shape, classes),
+                model->save_parameters().size())
+          << shape.channels << "x" << shape.height << "x" << shape.width
+          << ", " << classes << " classes";
+    }
+  }
+}
+
 // Model's eval methods run Layer::infer, which must return exactly what the
-// caching forward(x, false) returns and write nothing: four threads query
-// one const model at once, on batches below (48 rows) and above (256 rows)
-// the layers' sharding thresholds, behind 1- and 4-thread pools.
+// caching forward(x, false) returns and write nothing, in fixed 16-row
+// chunks that each run as one task of a parallel_for.  Whatever the chunk
+// boundaries, the pool or the caller, features(), predict_proba() and
+// predict() must match the full-batch eval forward logits(x, false)
+// exactly.  Row counts cover one row, one chunk and its neighbours (15, 16,
+// 17), whole and ragged multiples (47, 48, 97) and a batch above the
+// layers' sharding thresholds (256), behind 1- and 4-thread pools.  Four
+// threads query one const model at once while the test thread queries it
+// from inside a parallel_for body, as inspect()'s ensemble members do.
 TEST_P(ArchTest, InferMatchesEvalForwardFromConcurrentCallers) {
   util::Rng rng(12);
   LabeledData train;
@@ -430,24 +451,68 @@ TEST_P(ArchTest, InferMatchesEvalForwardFromConcurrentCallers) {
   TrainConfig tc;
   tc.epochs = 1;  // moves BatchNorm's running statistics off their init
   train_classifier(*model, train, tc);
+  const Model& shared = *model;
 
+  // A copy of the model's head (its last two parameters) maps features()
+  // onto the logits, so features are checked against logits(x, false) too.
+  const auto params = model->parameters();
+  Linear head(model->feature_dim(), 5, rng);
+  head.parameters()[0]->value = params[params.size() - 2]->value;
+  head.parameters()[1]->value = params.back()->value;
+
+  struct Answers {
+    Tensor features;
+    Tensor probs;
+    std::vector<int> preds;
+  };
   constexpr std::size_t kCallers = 4;
-  for (const std::size_t rows : {std::size_t{48}, std::size_t{256}}) {
+  constexpr std::size_t kNested = 2;
+  constexpr std::size_t kRowCounts[] = {1, 15, 16, 17, 47, 48, 97, 256};
+  for (const std::size_t rows : kRowCounts) {
     const Tensor x = Tensor::randn({rows, 3, 16, 16}, rng, 0.5F);
+    // Each row on its own: a one-row batch runs inline, unchunked.
+    std::vector<float> row_features;
+    for (std::size_t i = 0; i < rows; ++i) {
+      Tensor one({1, 3, 16, 16});
+      std::copy(x.data() + i * one.size(), x.data() + (i + 1) * one.size(),
+                one.data());
+      const Tensor f = shared.features(one);
+      row_features.insert(row_features.end(), f.vec().begin(),
+                          f.vec().end());
+    }
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       util::ThreadPool pool(threads);
       util::ScopedPoolOverride overridden(pool);
-      const std::vector<float> expected =
-          softmax(model->logits(x, false)).vec();
-      const Model& shared = *model;
-      std::vector<Tensor> got(kCallers);
+      const Tensor logits = model->logits(x, false);
+      const std::vector<float> expected_probs = softmax(logits).vec();
+      std::vector<int> expected_preds(rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        const float* row = logits.data() + i * 5;
+        expected_preds[i] =
+            static_cast<int>(std::max_element(row, row + 5) - row);
+      }
+
+      std::vector<Answers> got(kCallers + kNested);
+      const auto ask = [&](Answers& a) {
+        a.features = shared.features(x);
+        a.probs = shared.predict_proba(x);
+        a.preds = shared.predict(x);
+      };
       std::vector<std::thread> callers;
       for (std::size_t c = 0; c < kCallers; ++c) {
-        callers.emplace_back([&, c] { got[c] = shared.predict_proba(x); });
+        callers.emplace_back([&, c] { ask(got[c]); });
       }
+      util::parallel_for(kNested,
+                         [&](std::size_t m) { ask(got[kCallers + m]); });
       for (auto& caller : callers) caller.join();
-      for (const Tensor& probs : got) {
-        EXPECT_EQ(probs.vec(), expected)
+      for (const Answers& a : got) {
+        EXPECT_EQ(a.probs.vec(), expected_probs)
+            << rows << " rows, " << threads << " pool threads";
+        EXPECT_EQ(a.preds, expected_preds)
+            << rows << " rows, " << threads << " pool threads";
+        EXPECT_EQ(a.features.vec(), row_features)
+            << rows << " rows, " << threads << " pool threads";
+        EXPECT_EQ(head.infer(a.features).vec(), logits.vec())
             << rows << " rows, " << threads << " pool threads";
       }
     }
@@ -478,7 +543,7 @@ TEST(Trainer, LearnsLinearlySeparableTask) {
   tc.epochs = 10;
   auto history = train_classifier(*model, data, tc);
   EXPECT_LT(history.epoch_loss.back(), history.epoch_loss.front());
-  EXPECT_GT(evaluate_accuracy(*model, data), 0.95);
+  EXPECT_GT(model->accuracy(data.images, data.labels), 0.95);
 }
 
 }  // namespace

@@ -27,6 +27,12 @@
 //                     summation is order-sensitive, and the repo's
 //                     determinism contract requires every reduction order
 //                     to be fixed (never thread-count-dependent).
+//   pool-size         hardware_concurrency / default_pool / ThreadPool
+//                     outside src/util — no chunk, shard or tile count may
+//                     be derived from the thread count (results must not
+//                     depend on it), and no code outside util picks its own
+//                     pool: every parallel_for runs on util::default_pool(),
+//                     which util::ScopedPoolOverride alone redirects.
 //   failpoint-name    cross-file pass: every BPROM_FAILPOINT("name") site
 //                     must use a name listed in the registry block of
 //                     src/util/failpoint.cpp (between the
@@ -358,6 +364,16 @@ inline std::vector<Finding> lint_file(const std::string& path,
                std::string(token) +
                    " — util::Rng with split streams is the only sanctioned "
                    "randomness (seeded, deterministic)");
+      }
+    }
+
+    for (const char* token :
+         {"hardware_concurrency", "default_pool", "ThreadPool"}) {
+      if (has_token(code, token)) {
+        report(i, "pool-size",
+               std::string(token) +
+                   " outside util — size work by a constant, never by the "
+                   "thread count, and let parallel_for pick the pool");
       }
     }
 
