@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -217,17 +216,6 @@ Result<DetectorInfo> AuditEngine::publish(const std::string& name,
     // lookups resolve to `next`, while handles resolved earlier keep their
     // shared_ptr to the old version.
     store_->put(stem, std::move(detector));
-    // Crash-matrix anchor: the artifact is durable on disk but the
-    // generation bump has not happened — recovery must surface name@vN
-    // while leaving other engines' change signal intact.
-    if (auto hit = BPROM_FAILPOINT("store.publish.crash")) {
-      (void)hit;
-      return Status::Internal(
-          "injected crash between put and generation bump");
-    }
-    // Still under the StoreLock: the generation counter counts publishes by
-    // every engine over this directory (EngineStats::store_generation).
-    store_->bump_generation();
   } catch (const io::IoError& e) {
     return status_from(e);
   } catch (const std::exception& e) {
@@ -473,7 +461,6 @@ EngineStats AuditEngine::stats() const {
   out.rollovers = rollovers_.load(std::memory_order_relaxed);  // relaxed: ^
   out.deadline_misses =
       deadline_misses_.load(std::memory_order_relaxed);  // relaxed: see above
-  if (store_.has_value()) out.store_generation = store_->generation();
   out.profile = profiler_.snapshot();
   return out;
 }

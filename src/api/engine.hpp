@@ -67,9 +67,6 @@ struct EngineStats {
   std::uint64_t queries = 0;    ///< black-box queries spent, exact
   std::uint64_t rollovers = 0;  ///< publishes that superseded a live version
   std::uint64_t deadline_misses = 0;  ///< requests failed kDeadlineExceeded
-  /// Cross-process store generation at snapshot time (counts publishes into
-  /// the directory by every engine, not just this one).
-  std::uint64_t store_generation = 0;
   /// Per-stage latency counters (resolve / inspect / request / queue_wait /
   /// queue_depth / batch): count, avg, min/max, and p50/p95/p99 — raw units
   /// nanoseconds for timers, items for queue_depth.
@@ -103,9 +100,10 @@ class AuditEngine {
                                core::BpromDetector detector);
 
   /// Crash-recovery scan of the backing store (see
-  /// serve::DetectorStore::recover): quarantines torn/corrupt artifacts and
-  /// leftover temp files into `<store>/quarantine/` (never deleting),
-  /// repairs the generation counter, and reports everything it did.  Safe
+  /// serve::DetectorStore::recover): decodes every container as a detector,
+  /// moves those that do not decode and leftover temp files into
+  /// `<store>/quarantine/` (never deleting), and reports everything it did.
+  /// Afterwards every version a name resolves to can be served.  Safe
   /// against concurrent publishers (takes the publish mutex and the
   /// cross-process StoreLock); a healthy store comes back `clean()`.
   Result<serve::RecoveryReport> recover();

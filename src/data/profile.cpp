@@ -53,6 +53,4 @@ const DatasetProfile& profile(DatasetKind kind) {
   return registry[idx];
 }
 
-std::string dataset_name(DatasetKind kind) { return profile(kind).name; }
-
 }  // namespace bprom::data

@@ -49,6 +49,4 @@ struct DatasetProfile {
 /// Registry lookup.
 const DatasetProfile& profile(DatasetKind kind);
 
-[[nodiscard]] std::string dataset_name(DatasetKind kind);
-
 }  // namespace bprom::data

@@ -1,7 +1,6 @@
 #include "linalg/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace bprom::linalg {
@@ -39,23 +38,6 @@ double entropy(const std::vector<double>& p) {
     if (x > 1e-12) acc -= x * std::log(x);
   }
   return acc;
-}
-
-double pearson(const std::vector<double>& a, const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  if (a.size() < 2) return 0.0;
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double num = 0.0;
-  double da = 0.0;
-  double db = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    num += (a[i] - ma) * (b[i] - mb);
-    da += (a[i] - ma) * (a[i] - ma);
-    db += (b[i] - mb) * (b[i] - mb);
-  }
-  if (da < 1e-18 || db < 1e-18) return 0.0;
-  return num / std::sqrt(da * db);
 }
 
 std::vector<double> row_mean(const Matrix& data) {

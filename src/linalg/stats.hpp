@@ -16,9 +16,6 @@ double median(std::vector<double> v);  // by copy; v is partially sorted
 /// Shannon entropy of a probability vector (natural log); tolerates zeros.
 double entropy(const std::vector<double>& p);
 
-/// Pearson correlation; returns 0 for degenerate inputs.
-double pearson(const std::vector<double>& a, const std::vector<double>& b);
-
 /// Per-feature mean of matrix rows.
 std::vector<double> row_mean(const Matrix& data);
 

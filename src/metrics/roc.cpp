@@ -2,44 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 namespace bprom::metrics {
-
-std::vector<RocPoint> roc_curve(const std::vector<double>& scores,
-                                const std::vector<int>& labels) {
-  assert(scores.size() == labels.size());
-  std::vector<std::size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return scores[a] > scores[b];
-  });
-  std::size_t pos = 0;
-  for (int l : labels) pos += static_cast<std::size_t>(l == 1);
-  const std::size_t neg = labels.size() - pos;
-
-  std::vector<RocPoint> curve;
-  curve.push_back({0.0, 0.0, 1e300});
-  std::size_t tp = 0;
-  std::size_t fp = 0;
-  std::size_t i = 0;
-  while (i < order.size()) {
-    const double threshold = scores[order[i]];
-    while (i < order.size() && scores[order[i]] == threshold) {
-      if (labels[order[i]] == 1) {
-        ++tp;
-      } else {
-        ++fp;
-      }
-      ++i;
-    }
-    curve.push_back(
-        {neg > 0 ? static_cast<double>(fp) / static_cast<double>(neg) : 0.0,
-         pos > 0 ? static_cast<double>(tp) / static_cast<double>(pos) : 0.0,
-         threshold});
-  }
-  return curve;
-}
 
 double auroc(const std::vector<double>& scores,
              const std::vector<int>& labels) {

@@ -1,4 +1,4 @@
-// Detection metrics: ROC / AUROC, F1 / precision / recall.
+// Detection metrics: AUROC, F1 / precision / recall.
 //
 // Convention: higher score = more likely positive (backdoored / poisoned).
 #pragma once
@@ -7,16 +7,6 @@
 #include <vector>
 
 namespace bprom::metrics {
-
-struct RocPoint {
-  double fpr = 0.0;
-  double tpr = 0.0;
-  double threshold = 0.0;
-};
-
-/// Full ROC curve (thresholds descending).
-std::vector<RocPoint> roc_curve(const std::vector<double>& scores,
-                                const std::vector<int>& labels);
 
 /// Area under the ROC curve via the rank statistic (ties get half credit).
 double auroc(const std::vector<double>& scores, const std::vector<int>& labels);

@@ -56,13 +56,6 @@ class AdmissionControl {
   /// Release the server-wide slot acquired by a successful admit().
   void release();
 
-  /// Audits currently outstanding server-wide.
-  [[nodiscard]] std::size_t total_in_flight() const {
-    // relaxed: a monitoring read; admission correctness does not hang off
-    // this value (admit() re-checks under CAS).
-    return total_in_flight_.load(std::memory_order_relaxed);
-  }
-
   [[nodiscard]] std::uint64_t admitted() const {
     // relaxed: statistics tally, read for the stats endpoint snapshot.
     return admitted_.load(std::memory_order_relaxed);

@@ -20,9 +20,9 @@ void status_fields(Ar& ar, S& status) {
 
 template <class Ar>
 void stats_request_fields(Ar& ar) {
-  std::uint32_t version = kStatsResponseVersion;
+  std::uint32_t version = kStatsRequestVersion;
   ar.tag(kTagStatsRequest);
-  ar.version(version, kStatsResponseVersion, "stats request");
+  ar.version(version, kStatsRequestVersion, "stats request");
 }
 
 template <class Ar>
@@ -59,7 +59,13 @@ void stats_response_fields(Ar& ar, M& msg) {
   ar.tag(kTagStatsResponse);
   ar.version(msg.struct_version, kStatsResponseVersion, "stats response");
   ar(engine.requests, engine.verdicts, engine.queries, engine.rollovers,
-     engine.deadline_misses, engine.store_generation);
+     engine.deadline_misses);
+  if (msg.struct_version == 1) {
+    // Version 1 carried the store's publish counter here; it is read and
+    // dropped (written as 0), so this build still reads an older server.
+    std::uint64_t store_publishes = 0;
+    ar(store_publishes);
+  }
   ar(server.connections_accepted, server.connections_active,
      server.connections_idle_closed, server.requests_admitted,
      server.rejected_in_flight, server.rejected_total_in_flight,

@@ -35,7 +35,10 @@
 
 namespace bprom::net {
 
-inline constexpr std::uint32_t kStatsResponseVersion = 1;
+inline constexpr std::uint32_t kStatsRequestVersion = 1;
+/// Version 2 dropped the store's publish counter that followed
+/// `deadline_misses` in version 1; version-1 bodies still decode.
+inline constexpr std::uint32_t kStatsResponseVersion = 2;
 inline constexpr std::uint32_t kErrorMsgVersion = 1;
 inline constexpr std::uint32_t kShutdownMsgVersion = 1;
 

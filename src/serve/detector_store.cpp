@@ -225,43 +225,6 @@ void DetectorStore::evict(const std::string& name) {
   cache_.erase(name);
 }
 
-std::uint64_t DetectorStore::generation() const {
-  std::ifstream in((fs::path(dir_) / ".generation").string());
-  std::uint64_t gen = 0;
-  if (in >> gen) return gen;
-  return 0;
-}
-
-std::uint64_t DetectorStore::bump_generation() {
-  const std::uint64_t next = generation() + 1;
-  write_generation(next);
-  return next;
-}
-
-void DetectorStore::write_generation(std::uint64_t value) {
-  const std::string path = (fs::path(dir_) / ".generation").string();
-  const std::string tmp = path + ".tmp";
-  if (auto hit = BPROM_FAILPOINT("store.generation.write")) {
-    (void)hit;
-    throw io::IoError("injected generation write failure: " + tmp,
-                      io::ErrorKind::kIo);
-  }
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw io::IoError("cannot write store generation " + tmp,
-                        io::ErrorKind::kIo);
-    }
-    out << value << "\n";
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw io::IoError("cannot move " + tmp + " into place: " + ec.message(),
-                      io::ErrorKind::kIo);
-  }
-}
-
 namespace {
 
 /// Move `from` into `dir/quarantine/`, never overwriting earlier remains:
@@ -334,10 +297,13 @@ RecoveryReport DetectorStore::recover() {
                              quarantine_file(dir_, tmp)});
   }
 
-  // Every container must parse cleanly or fail with a *typed* error.
+  // Every container must decode as a detector, as get() would, or fail
+  // with a *typed* error: a container that frames cleanly but holds fields
+  // the detector refuses would otherwise stay resolvable and fail every
+  // audit that reaches it.
   for (const fs::path& artifact : containers) {
     try {
-      (void)io::Reader::from_file(artifact.string());
+      (void)io::load_detector_file(artifact.string());
       ++report.artifacts_ok;
     } catch (const io::IoError& e) {
       if (e.kind() == io::ErrorKind::kVersionMismatch) {
@@ -354,21 +320,6 @@ RecoveryReport DetectorStore::recover() {
     }
   }
 
-  // Repair the generation counter only when it is missing or corrupt AND
-  // there are artifacts proving publishes happened; a healthy counter is
-  // never touched (concurrent-publish tests pin exact values).
-  report.generation = generation();
-  const std::uint64_t floor_gen =
-      static_cast<std::uint64_t>(report.artifacts_ok);
-  if (report.generation == 0 && floor_gen > 0) {
-    write_generation(floor_gen);
-    report.generation = floor_gen;
-    report.issues.push_back(
-        {RecoveryIssue::Kind::kGenerationRepaired, ".generation",
-         "missing or unreadable; rebuilt as artifact count " +
-             std::to_string(floor_gen),
-         ""});
-  }
   return report;
 }
 

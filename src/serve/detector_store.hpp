@@ -7,10 +7,12 @@
 // kVersionMismatch instead of an escaping io::IoError) on top of it.
 //
 // Detectors are expensive to fit (a whole shadow population) but cheap to
-// load, so the serving front end keeps them on disk as `<name>.bprom`
-// containers and caches loads in memory.  The store hands out shared_ptr
-// to *const* detectors: inspection is const and thread-safe across
-// requests, so one cached detector serves a whole audit fleet.
+// load, so the serving front end keeps them on disk as `name@vN.bprom`
+// containers and caches loads in memory.  The directory is the one record
+// of what is published: no index or counter file sits beside the
+// containers.  The store hands out shared_ptr to *const* detectors:
+// inspection is const and thread-safe across requests, so one cached
+// detector serves a whole audit fleet.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +70,11 @@ class BPROM_SCOPED_CAPABILITY StoreLock {
 /// One problem found (and handled) by DetectorStore::recover().
 struct RecoveryIssue {
   enum class Kind : std::uint8_t {
-    kTempFile,            ///< leftover .tmp from a torn publish — quarantined
-    kCorrupt,             ///< truncated / CRC-failed container — quarantined
-    kVersionMismatch,     ///< newer-format container — left in place
-    kStaleLock,           ///< publish lock debris from a dead writer
-    kGenerationRepaired,  ///< .generation missing/corrupt — rebuilt
+    kTempFile,         ///< leftover .tmp from a torn publish — quarantined
+    kCorrupt,          ///< container that does not decode as a detector
+                       ///< (torn, CRC-failed, refused field) — quarantined
+    kVersionMismatch,  ///< newer-format container — left in place
+    kStaleLock,        ///< publish lock debris from a dead writer
   };
   Kind kind;
   std::string file;            ///< filename relative to the store directory
@@ -83,8 +85,7 @@ struct RecoveryIssue {
 /// Outcome of a recovery scan.
 struct RecoveryReport {
   std::vector<RecoveryIssue> issues;
-  std::size_t artifacts_ok = 0;   ///< containers that parsed cleanly
-  std::uint64_t generation = 0;   ///< generation after any repair
+  std::size_t artifacts_ok = 0;  ///< containers that decoded as detectors
   [[nodiscard]] bool clean() const { return issues.empty(); }
 };
 
@@ -120,34 +121,21 @@ class DetectorStore {
   /// Drop a name from the in-memory cache (the file stays on disk).
   void evict(const std::string& name);
 
-  /// Store generation: a counter file (`.generation`) bumped by every
-  /// publish, under the StoreLock.  Readers use it as a cheap cross-process
-  /// change signal — "has anyone published since I last looked?" without a
-  /// directory walk.  0 means the store predates generations (or is empty).
-  [[nodiscard]] std::uint64_t generation() const;
-
-  /// Increment and persist the generation (temp-file + rename, so readers
-  /// never see a torn counter).  Callers must hold the StoreLock — the
-  /// read-modify-write is not atomic on its own.
-  std::uint64_t bump_generation();
-
   /// Crash-recovery scan.  Takes the StoreLock itself, then walks the
-  /// directory: leftover publish temp files and containers that fail to
-  /// parse (truncated, CRC mismatch, bad magic) are MOVED into
-  /// `quarantine/` — never deleted — and reported; containers written by a
-  /// newer format version are reported but left in place (an upgraded
-  /// build can still serve them); a missing or corrupt `.generation` is
-  /// rebuilt from the surviving artifact count.  Healthy stores pass
-  /// through untouched (`report.clean()`), and a healthy generation is
-  /// never changed.  Quarantined names are also dropped from the in-memory
-  /// cache.  Throws io::IoError only when the directory itself is
-  /// unusable.
+  /// directory and decodes every container as a detector, the way get()
+  /// would.  Leftover publish temp files and containers that do not decode
+  /// (truncated, CRC mismatch, bad magic, a field the detector's field list
+  /// refuses) are MOVED into `quarantine/` — never deleted — and reported,
+  /// so a bare name never resolves to a version that cannot be served;
+  /// containers written by a newer format version are reported but left in
+  /// place (an upgraded build can still serve them).  Any other file is
+  /// left as it is.  Healthy stores pass through untouched
+  /// (`report.clean()`).  Quarantined names are also dropped from the
+  /// in-memory cache.  Throws io::IoError only when the directory itself
+  /// is unusable.
   RecoveryReport recover();
 
  private:
-  /// Persist an explicit generation value (temp-file + rename).
-  void write_generation(std::uint64_t value);
-
   std::string dir_;
   mutable util::Mutex mu_;
   std::map<std::string, std::shared_ptr<const core::BpromDetector>> cache_

@@ -51,30 +51,4 @@ Tensor Tensor::randn(std::vector<std::size_t> shape, util::Rng& rng,
   return t;
 }
 
-Tensor Tensor::slice_sample(std::size_t n) const {
-  assert(rank() >= 1 && n < shape_[0]);
-  std::vector<std::size_t> sub(shape_.begin() + 1, shape_.end());
-  Tensor out(sub);
-  const std::size_t stride = out.size();
-  std::copy(data_.begin() + static_cast<long>(n * stride),
-            data_.begin() + static_cast<long>((n + 1) * stride),
-            out.data_.begin());
-  return out;
-}
-
-Tensor Tensor::stack(const std::vector<Tensor>& samples) {
-  assert(!samples.empty());
-  std::vector<std::size_t> shape;
-  shape.push_back(samples.size());
-  for (auto d : samples.front().shape()) shape.push_back(d);
-  Tensor out(shape);
-  const std::size_t stride = samples.front().size();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    assert(samples[i].size() == stride);
-    std::copy(samples[i].data_.begin(), samples[i].data_.end(),
-              out.data_.begin() + static_cast<long>(i * stride));
-  }
-  return out;
-}
-
 }  // namespace bprom::tensor

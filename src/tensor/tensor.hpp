@@ -73,12 +73,6 @@ class Tensor {
   static Tensor randn(std::vector<std::size_t> shape, util::Rng& rng,
                       float stddev = 1.0F);
 
-  /// Extract sample n of a batch tensor as a rank-(r-1) tensor copy.
-  [[nodiscard]] Tensor slice_sample(std::size_t n) const;
-
-  /// Stack equal-shaped samples into a batch along a new leading axis.
-  static Tensor stack(const std::vector<Tensor>& samples);
-
  private:
   std::vector<std::size_t> shape_;
   std::vector<float> data_;

@@ -15,20 +15,6 @@ enum class Scale { kSmoke = 0, kDefault = 1, kHeavy = 2 };
 /// Reads BPROM_SCALE (0/1/2); defaults to kDefault.
 Scale scale();
 
-/// Convenience: pick a value by scale.
-template <typename T>
-T by_scale(T smoke, T normal, T heavy) {
-  switch (scale()) {
-    case Scale::kSmoke:
-      return smoke;
-    case Scale::kHeavy:
-      return heavy;
-    case Scale::kDefault:
-      break;
-  }
-  return normal;
-}
-
 /// Integer env override helper: returns `fallback` when unset/invalid.
 std::size_t env_size(const std::string& name, std::size_t fallback);
 

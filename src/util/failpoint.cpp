@@ -33,9 +33,7 @@ const char* const kRegistry[] = {
     "io.save.fsync.file",     // Writer::save_file: fail fsync of the temp file
     "io.save.rename",         // Writer::save_file: fail/crash at rename
     "io.save.fsync.dir",      // Writer::save_file: fail fsync of the parent dir
-    "store.generation.write", // DetectorStore::bump_generation: fail the write
     "store.lock.crash",       // StoreLock: crash while holding the lock
-    "store.publish.crash",    // AuditEngine::publish: between put and bump
     "net.connect",            // net::connect_to (every client connect)
     "net.send",               // net::send_all (every client send)
     "net.recv",               // net::recv_some (every client recv)

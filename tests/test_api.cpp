@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -547,11 +550,18 @@ TEST(ApiEngine, TwoEnginesPublishingConcurrentlyNeverCollide) {
   for (int v = 1; v <= 2 * kPerEngine; ++v) {
     EXPECT_TRUE(fresh.info("aud@v" + std::to_string(v)).ok()) << v;
   }
-  // The store generation counted every publish, across both engines.
-  EXPECT_EQ(fresh.stats().store_generation,
-            static_cast<std::uint64_t>(2 * kPerEngine));
-  // No lock debris left behind.
-  EXPECT_FALSE(fs::exists(fs::path(dir) / serve::StoreLock::kLockName));
+  // The containers are the only record of what was published: no lock
+  // debris, no `.generation` counter, nothing else in the directory.
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<std::string> containers;
+  for (int v = 1; v <= 2 * kPerEngine; ++v) {
+    containers.push_back("aud@v" + std::to_string(v) + ".bprom");
+  }
+  EXPECT_EQ(files, containers);
 }
 
 TEST(ApiEngine, BareNamesFollowPublishesFromAnotherEngine) {
@@ -599,6 +609,56 @@ TEST(ApiEngine, RecoveredNewestVersionResolvesLikeAFreshEngine) {
   const auto responses = engine.audit({request_for("aud", &box)});
   ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.to_string();
   EXPECT_EQ(responses[0].detector_version, "aud@v1");
+}
+
+TEST(ApiEngine, AGenerationFileFromAnOlderBuildIsIgnoredAndKept) {
+  // Older builds kept a `.generation` publish counter beside the
+  // containers.  A store holding one serves exactly as a store without it,
+  // and nothing rewrites or deletes the file.
+  const std::string plain_dir = fresh_dir("bprom_api_nocounter");
+  const std::string dir = fresh_dir("bprom_api_oldcounter");
+  fs::create_directories(dir);
+  const fs::path counter = fs::path(dir) / ".generation";
+  std::ofstream(counter) << "7\n";
+
+  api::AuditEngine plain({.store_dir = plain_dir});
+  api::AuditEngine engine({.store_dir = dir});
+  for (api::AuditEngine* e : {&plain, &engine}) {
+    ASSERT_EQ(e->publish("aud", fixture().detector).value().version, 1U);
+    ASSERT_EQ(e->publish("aud", fixture().detector).value().version, 2U);
+  }
+  for (const char* file : {"aud@v1.bprom", "aud@v2.bprom"}) {
+    std::ifstream want(fs::path(plain_dir) / file, std::ios::binary);
+    std::ifstream got(fs::path(dir) / file, std::ios::binary);
+    EXPECT_TRUE(std::equal(std::istreambuf_iterator<char>(got), {},
+                           std::istreambuf_iterator<char>(want), {}))
+        << file;
+  }
+  EXPECT_EQ(engine.info("aud").value().version, 2U);
+
+  nn::BlackBoxAdapter box(*fixture().suspicious.model);
+  for (const char* name : {"aud", "aud@v1"}) {
+    const auto want = plain.audit({request_for(name, &box)});
+    const auto got = engine.audit({request_for(name, &box)});
+    ASSERT_TRUE(want[0].status.ok()) << want[0].status.to_string();
+    ASSERT_TRUE(got[0].status.ok()) << got[0].status.to_string();
+    EXPECT_EQ(got[0].detector_version, want[0].detector_version) << name;
+    EXPECT_EQ(got[0].verdict.score, want[0].verdict.score) << name;
+    EXPECT_EQ(got[0].verdict.backdoored, want[0].verdict.backdoored) << name;
+    EXPECT_EQ(got[0].verdict.prompted_accuracy,
+              want[0].verdict.prompted_accuracy)
+        << name;
+    EXPECT_EQ(got[0].verdict.queries, want[0].verdict.queries) << name;
+  }
+
+  const auto report = engine.recover();
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_TRUE(report.value().clean());
+  EXPECT_EQ(report.value().artifacts_ok, 2U);
+  EXPECT_EQ(serve::DetectorStore(dir).list(),
+            (std::vector<std::string>{"aud@v1", "aud@v2"}));
+  std::ifstream in(counter, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "7\n");
 }
 
 TEST(ApiEngine, AsyncVerdictsMatchSyncThroughTheRing) {

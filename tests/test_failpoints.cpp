@@ -42,7 +42,7 @@ TEST_F(Failpoints, RegistryIsSortedAndQueryable) {
     EXPECT_TRUE(util::failpoint_registered(name)) << name;
   }
   EXPECT_TRUE(util::failpoint_registered("io.save.rename"));
-  EXPECT_TRUE(util::failpoint_registered("store.publish.crash"));
+  EXPECT_TRUE(util::failpoint_registered("store.lock.crash"));
   EXPECT_FALSE(util::failpoint_registered("no.such.point"));
 }
 

@@ -136,14 +136,6 @@ TEST(Stats, EntropyUniformIsLogK) {
   EXPECT_NEAR(entropy(onehot), 0.0, 1e-9);
 }
 
-TEST(Stats, PearsonPerfectCorrelation) {
-  std::vector<double> a{1, 2, 3, 4};
-  std::vector<double> b{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-9);
-  std::vector<double> c{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-9);
-}
-
 TEST(Stats, MadRobustToOutlier) {
   std::vector<double> v{1, 1.1, 0.9, 1.05, 100.0};
   EXPECT_LT(mad(v), 0.2);

@@ -28,14 +28,6 @@ TEST(Auroc, DegenerateSingleClass) {
   EXPECT_DOUBLE_EQ(auroc({0.3, 0.7}, {1, 1}), 0.5);
 }
 
-TEST(Roc, CurveEndpoints) {
-  auto curve = roc_curve({0.9, 0.1, 0.8, 0.3}, {1, 0, 1, 0});
-  EXPECT_DOUBLE_EQ(curve.front().fpr, 0.0);
-  EXPECT_DOUBLE_EQ(curve.front().tpr, 0.0);
-  EXPECT_DOUBLE_EQ(curve.back().fpr, 1.0);
-  EXPECT_DOUBLE_EQ(curve.back().tpr, 1.0);
-}
-
 TEST(BinaryReport, HandComputed) {
   auto r = binary_report({0.9, 0.6, 0.4, 0.2}, {1, 0, 1, 0}, 0.5);
   EXPECT_EQ(r.tp, 1u);

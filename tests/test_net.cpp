@@ -44,6 +44,40 @@ std::vector<std::uint8_t> tiny_frame(std::uint64_t request_id = 7) {
                            tiny_body());
 }
 
+/// Stats with every counter numbered: engine 101.., server 201.., and each
+/// profiler stage s counting from 10s + 1.
+net::StatsResponseMsg numbered_stats() {
+  net::StatsResponseMsg msg;
+  msg.engine.requests = 101;
+  msg.engine.verdicts = 102;
+  msg.engine.queries = 103;
+  msg.engine.rollovers = 104;
+  msg.engine.deadline_misses = 105;
+  for (std::size_t s = 0; s < util::kProfileStages; ++s) {
+    util::ProfileStageStats& st = msg.engine.profile.stages[s];
+    const auto base = static_cast<double>(16 * (s + 1));
+    st.count = 10 * s + 1;
+    st.min = 10 * s + 2;
+    st.max = 10 * s + 3;
+    st.sum = base + 0.5;
+    st.p50 = base + 0.25;
+    st.p95 = base + 0.75;
+    st.p99 = base + 0.875;
+  }
+  msg.server.connections_accepted = 201;
+  msg.server.connections_active = 202;
+  msg.server.connections_idle_closed = 203;
+  msg.server.requests_admitted = 204;
+  msg.server.rejected_in_flight = 205;
+  msg.server.rejected_total_in_flight = 206;
+  msg.server.rejected_request_budget = 207;
+  msg.server.rejected_byte_budget = 208;
+  msg.server.rejected_protocol = 209;
+  msg.server.bytes_received = 210;
+  msg.server.bytes_sent = 211;
+  return msg;
+}
+
 TEST(NetFrame, HeaderRoundTripsThroughAssembler) {
   const std::vector<std::uint8_t> frame = tiny_frame(0x1122334455667788ULL);
   net::FrameAssembler assembler;
@@ -183,6 +217,18 @@ TEST(NetMessages, NewerStructVersionIsVersionMismatch) {
     EXPECT_EQ(status.code(), api::StatusCode::kVersionMismatch);
     EXPECT_NE(status.message().find("999"), std::string::npos);
   }
+  // A stats response one version past the newest this build reads.
+  io::Writer stats;
+  stats.write_tag(net::kTagStatsResponse);
+  stats.write_u32(net::kStatsResponseVersion + 1);
+  stats.write_u64(101);
+  try {
+    io::Reader reader(stats.finish());
+    net::decode_stats_response(reader);
+    FAIL() << "future stats response decoded";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(api::status_from(e).code(), api::StatusCode::kVersionMismatch);
+  }
 }
 
 TEST(NetMessages, ZeroStructVersionIsAlsoRefused) {
@@ -247,7 +293,6 @@ TEST(NetMessages, StatsResponseRoundTripIncludingProfile) {
   msg.engine.queries = 4242;
   msg.engine.rollovers = 1;
   msg.engine.deadline_misses = 2;
-  msg.engine.store_generation = 5;
   auto& inspect = msg.engine.profile.stages[static_cast<std::size_t>(
       util::ProfileStage::kInspect)];
   inspect.count = 8;
@@ -277,7 +322,6 @@ TEST(NetMessages, StatsResponseRoundTripIncludingProfile) {
   EXPECT_EQ(back.engine.queries, msg.engine.queries);
   EXPECT_EQ(back.engine.rollovers, msg.engine.rollovers);
   EXPECT_EQ(back.engine.deadline_misses, msg.engine.deadline_misses);
-  EXPECT_EQ(back.engine.store_generation, msg.engine.store_generation);
   const auto& inspect_back =
       back.engine.profile[util::ProfileStage::kInspect];
   EXPECT_EQ(inspect_back.count, inspect.count);
@@ -301,6 +345,51 @@ TEST(NetMessages, StatsResponseRoundTripIncludingProfile) {
   EXPECT_EQ(back.server.rejected_protocol, msg.server.rejected_protocol);
   EXPECT_EQ(back.server.bytes_received, msg.server.bytes_received);
   EXPECT_EQ(back.server.bytes_sent, msg.server.bytes_sent);
+}
+
+TEST(NetMessages, StatsResponseVersion1StillDecodes) {
+  // A version-1 body, written field by field in that layout: the engine
+  // counters end with the store's publish counter, which version 2 dropped.
+  io::Writer v1;
+  v1.write_tag(net::kTagStatsResponse);
+  v1.write_u32(1);
+  for (std::uint64_t engine = 101; engine <= 105; ++engine) {
+    v1.write_u64(engine);
+  }
+  v1.write_u64(106);  // the store's publish counter
+  for (std::uint64_t server = 201; server <= 211; ++server) {
+    v1.write_u64(server);
+  }
+  v1.write_u64(util::kProfileStages);
+  for (std::size_t s = 0; s < util::kProfileStages; ++s) {
+    const auto base = static_cast<double>(16 * (s + 1));
+    v1.write_string(
+        util::profile_stage_name(static_cast<util::ProfileStage>(s)));
+    v1.write_u64(10 * s + 1);
+    v1.write_u64(10 * s + 2);
+    v1.write_u64(10 * s + 3);
+    v1.write_f64(base + 0.5);
+    v1.write_f64(base + 0.25);
+    v1.write_f64(base + 0.75);
+    v1.write_f64(base + 0.875);
+  }
+  // Byte for byte what a version-1 server sent for these counters: the
+  // length and digest EveryMessageKeepsItsBytes pinned for version 1.
+  EXPECT_EQ(v1.payload().size(), 583U);
+  EXPECT_EQ(fnv1a64(v1.payload()), 0xa9e92a9d482e6b2dULL);
+
+  io::Reader reader(v1.finish());
+  net::StatsResponseMsg back = net::decode_stats_response(reader);
+  EXPECT_EQ(back.struct_version, 1U);
+  EXPECT_EQ(reader.remaining(), 0U);  // the dropped counter was consumed
+  // Every other field came through: re-encoded at the current version it
+  // is byte for byte the message the fields were numbered from.
+  back.struct_version = net::kStatsResponseVersion;
+  io::Writer got;
+  net::encode_stats_response(got, back);
+  io::Writer want;
+  net::encode_stats_response(want, numbered_stats());
+  EXPECT_EQ(got.payload(), want.payload());
 }
 
 TEST(NetMessages, InfoRoundTripOmitsNothingItPromises) {
@@ -373,7 +462,7 @@ TEST(NetMessages, EveryMessageKeepsItsBytes) {
       {"NREQ", 21367, 0x4b05069bf49d5f16ULL},
       {"NRSP", 115, 0x4c0cb7de8ddeafc2ULL},
       {"NSTQ", 8, 0xe467247e8e569884ULL},
-      {"NSTS", 583, 0xa9e92a9d482e6b2dULL},
+      {"NSTS", 575, 0x255d7151072979b6ULL},
       {"NINQ", 25, 0xd8cc1cf26979e29aULL},
       {"NINS", 85, 0xe8ee7c8e56fd20e9ULL},
       {"NERR", 45, 0x06f06e21cf6d7b88ULL},
@@ -435,37 +524,8 @@ TEST(NetMessages, EveryMessageKeepsItsBytes) {
     actual.emplace_back("NSTQ", w.payload());
   }
   {
-    net::StatsResponseMsg msg;
-    msg.engine.requests = 101;
-    msg.engine.verdicts = 102;
-    msg.engine.queries = 103;
-    msg.engine.rollovers = 104;
-    msg.engine.deadline_misses = 105;
-    msg.engine.store_generation = 106;
-    for (std::size_t s = 0; s < util::kProfileStages; ++s) {
-      util::ProfileStageStats& st = msg.engine.profile.stages[s];
-      const auto base = static_cast<double>(16 * (s + 1));
-      st.count = 10 * s + 1;
-      st.min = 10 * s + 2;
-      st.max = 10 * s + 3;
-      st.sum = base + 0.5;
-      st.p50 = base + 0.25;
-      st.p95 = base + 0.75;
-      st.p99 = base + 0.875;
-    }
-    msg.server.connections_accepted = 201;
-    msg.server.connections_active = 202;
-    msg.server.connections_idle_closed = 203;
-    msg.server.requests_admitted = 204;
-    msg.server.rejected_in_flight = 205;
-    msg.server.rejected_total_in_flight = 206;
-    msg.server.rejected_request_budget = 207;
-    msg.server.rejected_byte_budget = 208;
-    msg.server.rejected_protocol = 209;
-    msg.server.bytes_received = 210;
-    msg.server.bytes_sent = 211;
     io::Writer w;
-    net::encode_stats_response(w, msg);
+    net::encode_stats_response(w, numbered_stats());
     reencodes(w, net::decode_stats_response, net::encode_stats_response);
     actual.emplace_back("NSTS", w.payload());
   }

@@ -1,9 +1,10 @@
-// End-to-end failure recovery: DetectorStore::recover() semantics
-// (quarantine, generation repair, lock debris), exhaustive
+// End-to-end failure recovery: DetectorStore::recover() semantics (every
+// container decoded as a detector, quarantine, lock debris), exhaustive
 // truncate-at-every-byte / flip-one-byte sweeps over a genuinely published
 // container, and the crash matrix — a child process is killed at every
-// publish-path failpoint in turn, and the parent must recover the store to
-// a state whose audits are bit-identical to a never-crashed engine.
+// publish-path failpoint the registry names, in turn, and the parent must
+// recover the store to a state whose audits are bit-identical to a
+// never-crashed engine.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -18,6 +19,7 @@
 #include "api/engine.hpp"
 #include "core/experiment.hpp"
 #include "io/binary.hpp"
+#include "io/serialize.hpp"
 #include "nn/arch.hpp"
 #include "nn/blackbox.hpp"
 #include "serve/detector_store.hpp"
@@ -53,8 +55,8 @@ struct Fixture {
       src, nn::ArchKind::kResNet18Mini, 50, micro_scale());
 };
 
-/// One fitted detector + one suspicious model shared by the expensive
-/// tests; the fast recover() unit tests below use raw containers instead.
+/// One fitted detector + one suspicious model shared by every test: the
+/// recover() unit tests write its container, the rest publish and audit.
 const Fixture& fixture() {
   static const Fixture f;
   return f;
@@ -66,14 +68,9 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// A small but structurally-valid container (recover() only parses the
-/// container framing — magic, version, length, CRC — not the payload).
+/// A real detector container: recover() decodes each one as a detector.
 void write_container(const std::string& path) {
-  io::Writer writer;
-  writer.write_tag("TEST");
-  writer.write_string("recovery test artifact");
-  writer.write_u64(0x1234567890ABCDEFULL);
-  writer.save_file(path);
+  io::save_detector_file(path, fixture().detector);
 }
 
 std::vector<std::uint8_t> read_bytes(const std::string& path) {
@@ -90,21 +87,43 @@ void write_bytes(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-// ---- recover() unit semantics (fast, raw containers) ----
+/// One audit of the fixture's suspicious model.  Single-request batches, so
+/// every engine resolves the same (seed, index 0) salt and verdicts from
+/// different stores compare bit for bit.
+api::AuditResponse audit_one(api::AuditEngine& engine,
+                             const std::string& detector) {
+  nn::BlackBoxAdapter box(*fixture().suspicious.model);
+  api::AuditRequest request;
+  request.model_id = "m0";
+  request.detector = detector;
+  request.model = &box;
+  auto responses = engine.audit({request});
+  EXPECT_EQ(responses.size(), 1U);
+  return responses[0];
+}
+
+void expect_same_verdict(const api::AuditResponse& got,
+                         const api::AuditResponse& want,
+                         const std::string& what) {
+  ASSERT_TRUE(got.status.ok()) << what << ": " << got.status.to_string();
+  EXPECT_EQ(got.verdict.score, want.verdict.score) << what;
+  EXPECT_EQ(got.verdict.backdoored, want.verdict.backdoored) << what;
+  EXPECT_EQ(got.verdict.prompted_accuracy, want.verdict.prompted_accuracy)
+      << what;
+  EXPECT_EQ(got.verdict.queries, want.verdict.queries) << what;
+}
+
+// ---- recover() unit semantics ----
 
 TEST(Recover, CleanStorePassesThroughUntouched) {
   const std::string dir = fresh_dir("bprom_rec_clean");
   serve::DetectorStore store(dir);
-  write_container((fs::path(dir) / "a.bprom").string());
-  write_container((fs::path(dir) / "b.bprom").string());
-  store.bump_generation();
-  store.bump_generation();
+  write_container((fs::path(dir) / "a@v1.bprom").string());
+  write_container((fs::path(dir) / "b@v1.bprom").string());
 
   const serve::RecoveryReport report = store.recover();
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.artifacts_ok, 2U);
-  EXPECT_EQ(report.generation, 2U);
-  EXPECT_EQ(store.generation(), 2U);  // healthy generation never changed
   EXPECT_FALSE(fs::exists(fs::path(dir) / "quarantine"));
   fs::remove_all(dir);
 }
@@ -112,8 +131,7 @@ TEST(Recover, CleanStorePassesThroughUntouched) {
 TEST(Recover, LeftoverTempFilesAreQuarantinedNotDeleted) {
   const std::string dir = fresh_dir("bprom_rec_temp");
   serve::DetectorStore store(dir);
-  write_container((fs::path(dir) / "good.bprom").string());
-  store.bump_generation();  // healthy counter — only the temp is wrong
+  write_container((fs::path(dir) / "good@v1.bprom").string());
   {
     std::ofstream out((fs::path(dir) / "torn.bprom.tmp").string());
     out << "half a publish";
@@ -135,7 +153,7 @@ TEST(Recover, LeftoverTempFilesAreQuarantinedNotDeleted) {
 TEST(Recover, CorruptContainersAreQuarantinedWithBytesIntact) {
   const std::string dir = fresh_dir("bprom_rec_corrupt");
   serve::DetectorStore store(dir);
-  const std::string victim = (fs::path(dir) / "bad.bprom").string();
+  const std::string victim = (fs::path(dir) / "bad@v1.bprom").string();
   write_container(victim);
   std::vector<std::uint8_t> bytes = read_bytes(victim);
   bytes[bytes.size() / 2] ^= 0xFF;  // CRC now fails
@@ -157,7 +175,7 @@ TEST(Recover, CorruptContainersAreQuarantinedWithBytesIntact) {
 TEST(Recover, QuarantineNeverOverwritesEarlierRemains) {
   const std::string dir = fresh_dir("bprom_rec_collide");
   serve::DetectorStore store(dir);
-  const std::string victim = (fs::path(dir) / "bad.bprom").string();
+  const std::string victim = (fs::path(dir) / "bad@v1.bprom").string();
   for (int round = 0; round < 2; ++round) {
     write_container(victim);
     std::vector<std::uint8_t> bytes = read_bytes(victim);
@@ -180,7 +198,7 @@ TEST(Recover, QuarantineNeverOverwritesEarlierRemains) {
 TEST(Recover, NewerFormatContainersAreReportedButLeftInPlace) {
   const std::string dir = fresh_dir("bprom_rec_newer");
   serve::DetectorStore store(dir);
-  const std::string future = (fs::path(dir) / "future.bprom").string();
+  const std::string future = (fs::path(dir) / "future@v1.bprom").string();
   write_container(future);
   std::vector<std::uint8_t> bytes = read_bytes(future);
   bytes[4] = 99;  // version field (little-endian u32 at offset 4)
@@ -196,19 +214,38 @@ TEST(Recover, NewerFormatContainersAreReportedButLeftInPlace) {
   fs::remove_all(dir);
 }
 
-TEST(Recover, MissingGenerationIsRebuiltFromSurvivors) {
-  const std::string dir = fresh_dir("bprom_rec_gen");
-  serve::DetectorStore store(dir);
-  write_container((fs::path(dir) / "a.bprom").string());
-  write_container((fs::path(dir) / "b.bprom").string());
-  ASSERT_EQ(store.generation(), 0U);  // counter never written
+TEST(Recover, ContainersThatDoNotDecodeAsDetectorsAreQuarantined) {
+  const std::string dir = fresh_dir("bprom_rec_decode");
+  api::AuditEngine engine({.store_dir = dir});
+  ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
+  const api::AuditResponse reference = audit_one(engine, "aud@v1");
+  ASSERT_TRUE(reference.status.ok()) << reference.status.to_string();
 
-  const serve::RecoveryReport report = store.recover();
-  ASSERT_EQ(report.issues.size(), 1U);
-  EXPECT_EQ(report.issues[0].kind,
-            serve::RecoveryIssue::Kind::kGenerationRepaired);
-  EXPECT_EQ(report.generation, 2U);
-  EXPECT_EQ(store.generation(), 2U);
+  // A CRC-valid aud@v2 whose payload opens like a detector and then holds
+  // a shadow architecture tag the detector's field list refuses: the
+  // container frames cleanly, but no audit could ever be served from it.
+  io::Writer forged;
+  forged.write_tag("DTCT");
+  forged.write_u32(0xFFFFFFFFU);
+  forged.save_file((fs::path(dir) / "aud@v2.bprom").string());
+
+  const auto recovered = engine.recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  const serve::RecoveryReport& report = recovered.value();
+  EXPECT_FALSE(report.clean());
+  EXPECT_EQ(report.artifacts_ok, 1U);
+  EXPECT_EQ(report.issues.size(), 1U);
+  for (const serve::RecoveryIssue& issue : report.issues) {
+    EXPECT_EQ(issue.kind, serve::RecoveryIssue::Kind::kCorrupt);
+    EXPECT_EQ(issue.file, "aud@v2.bprom");
+    EXPECT_EQ(issue.quarantined_as, "quarantine/aud@v2.bprom");
+  }
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "aud@v2.bprom"));
+
+  // The bare name falls back to the intact v1 and audits bit for bit.
+  const api::AuditResponse bare = audit_one(engine, "aud");
+  EXPECT_EQ(bare.detector_version, "aud@v1");
+  expect_same_verdict(bare, reference, "aud");
   fs::remove_all(dir);
 }
 
@@ -357,35 +394,30 @@ TEST(CrashMatrix, EveryPublishStepCrashIsRecoverable) {
   api::AuditEngine seeder({.store_dir = seed_dir});
   ASSERT_TRUE(seeder.publish("aud", f.detector).ok());
 
-  // Reference verdicts from a never-crashed engine.  Single-request
-  // batches, so every engine resolves the same (seed, index 0) salt and
-  // the crash-recovered stores must reproduce these bit for bit.
-  nn::BlackBoxAdapter box(*f.suspicious.model);
-  const auto audit_one = [&box](api::AuditEngine& engine,
-                                const std::string& detector) {
-    api::AuditRequest request;
-    request.model_id = "m0";
-    request.detector = detector;
-    request.model = &box;
-    auto responses = engine.audit({request});
-    EXPECT_EQ(responses.size(), 1U);
-    return responses[0];
-  };
+  // Reference verdicts from a never-crashed engine; the crash-recovered
+  // stores must reproduce these bit for bit.
   const api::AuditResponse ref_bare = audit_one(seeder, "aud");
   const api::AuditResponse ref_pinned = audit_one(seeder, "aud@v1");
   ASSERT_TRUE(ref_bare.status.ok()) << ref_bare.status.to_string();
   ASSERT_TRUE(ref_pinned.status.ok());
   ASSERT_EQ(ref_bare.verdict.score, ref_pinned.verdict.score);
 
-  const char* kSteps[] = {
-      "io.save.open",          "io.save.write",    "io.save.fsync.file",
-      "io.save.rename",        "io.save.fsync.dir", "store.generation.write",
-      "store.publish.crash",   "store.lock.crash",
-  };
-  for (const char* step : kSteps) {
+  // Every publish step is a registered failpoint: the container write's
+  // (`io.save.*`) and the store's (`store.*`).  The steps come from the
+  // registry, so none can be left out; the list pins what they are today.
+  std::vector<std::string> steps;
+  for (const std::string& name : util::failpoint_names()) {
+    if (name.rfind("io.save.", 0) == 0 || name.rfind("store.", 0) == 0) {
+      steps.push_back(name);
+    }
+  }
+  ASSERT_EQ(steps, (std::vector<std::string>{
+                       "io.save.fsync.dir", "io.save.fsync.file",
+                       "io.save.open", "io.save.rename", "io.save.write",
+                       "store.lock.crash"}));
+  for (const std::string& step : steps) {
     SCOPED_TRACE(step);
-    const std::string dir =
-        fresh_dir(std::string("bprom_crash_") + step);
+    const std::string dir = fresh_dir("bprom_crash_" + step);
     fs::create_directories(dir);
 
     const pid_t pid = fork();
@@ -395,8 +427,7 @@ TEST(CrashMatrix, EveryPublishStepCrashIsRecoverable) {
       // inherited thread-pool state, env-armed failpoints from startup.
       setenv("BPROM_CRASH_DIR", dir.c_str(), 1);
       setenv("BPROM_CRASH_SEED_DIR", seed_dir.c_str(), 1);
-      setenv("BPROM_FAILPOINTS",
-             (std::string(step) + "=1->exit:43").c_str(), 1);
+      setenv("BPROM_FAILPOINTS", (step + "=1->exit:43").c_str(), 1);
       execl("/proc/self/exe", "test_recovery_crash_child",
             "--gtest_filter=CrashChild.PublishOnce",
             static_cast<char*>(nullptr));
@@ -426,18 +457,14 @@ TEST(CrashMatrix, EveryPublishStepCrashIsRecoverable) {
     // ...and must then serve verdicts bit-identical to the reference, on
     // the bare name and the pinned version alike.
     for (const char* name : {"aud", "aud@v1"}) {
-      const api::AuditResponse got = audit_one(engine, name);
-      ASSERT_TRUE(got.status.ok()) << name << ": " << got.status.to_string();
-      EXPECT_EQ(got.verdict.score, ref_bare.verdict.score) << name;
-      EXPECT_EQ(got.verdict.backdoored, ref_bare.verdict.backdoored) << name;
-      EXPECT_EQ(got.verdict.prompted_accuracy,
-                ref_bare.verdict.prompted_accuracy)
-          << name;
-      EXPECT_EQ(got.verdict.queries, ref_bare.verdict.queries) << name;
+      expect_same_verdict(audit_one(engine, name), ref_bare, name);
     }
-    // The store is left consistent: a generation exists and the next
-    // engine to open the directory sees a servable catalog.
-    EXPECT_GT(engine.stats().store_generation, 0U);
+    // The store is left consistent: a second scan finds nothing to handle.
+    const auto again = engine.recover();
+    ASSERT_TRUE(again.ok()) << again.status().to_string();
+    EXPECT_TRUE(again.value().clean())
+        << again.value().issues.size() << " issue(s) left, first: "
+        << again.value().issues.front().file;
     fs::remove_all(dir);
   }
   fs::remove_all(seed_dir);

@@ -470,27 +470,5 @@ TEST(StoreLock, LiveHolderWithFreshLockIsNotBroken) {
   fs::remove_all(dir);
 }
 
-TEST(DetectorStore, GenerationCounterPersistsAcrossInstances) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bprom_store_gen").string();
-  fs::remove_all(dir);
-  {
-    serve::DetectorStore store(dir);
-    EXPECT_EQ(store.generation(), 0U);  // pre-generation stores read as 0
-    EXPECT_EQ(store.bump_generation(), 1U);
-    EXPECT_EQ(store.bump_generation(), 2U);
-    EXPECT_EQ(store.generation(), 2U);
-  }
-  // A second store over the same directory — another process, in effect —
-  // observes the persisted counter.
-  serve::DetectorStore reopened(dir);
-  EXPECT_EQ(reopened.generation(), 2U);
-  EXPECT_EQ(reopened.bump_generation(), 3U);
-  // The counter file is store metadata, not a detector: list() skips it.
-  EXPECT_TRUE(reopened.list().empty());
-  fs::remove_all(dir);
-}
-
 }  // namespace
 }  // namespace bprom

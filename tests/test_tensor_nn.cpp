@@ -24,15 +24,6 @@ TEST(Tensor, ShapeAndAccessors) {
   EXPECT_FLOAT_EQ(t[95], 7.0F);
 }
 
-TEST(Tensor, StackAndSlice) {
-  Tensor a({2, 2}, 1.0F);
-  Tensor b({2, 2}, 2.0F);
-  Tensor s = Tensor::stack({a, b});
-  EXPECT_EQ(s.dim(0), 2u);
-  Tensor back = s.slice_sample(1);
-  EXPECT_FLOAT_EQ(back[0], 2.0F);
-}
-
 TEST(Im2Col, IdentityKernelGeometry) {
   tensor::ConvGeometry g{1, 3, 3, 3, 1, 1};
   EXPECT_EQ(g.out_h(), 3u);

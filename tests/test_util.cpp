@@ -261,7 +261,6 @@ TEST(Env, ScaleDefaultsToNormal) {
   // Unless BPROM_SCALE is exported by the environment, default applies.
   if (std::getenv("BPROM_SCALE") == nullptr) {
     EXPECT_EQ(scale(), Scale::kDefault);
-    EXPECT_EQ(by_scale(1, 2, 3), 2);
   }
 }
 
