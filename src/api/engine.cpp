@@ -158,29 +158,28 @@ Result<AuditEngine::Resolved> AuditEngine::resolve(
   // Validate the base either way: a pinned "../evil@v1" must not sneak a
   // path past the rules a bare "../evil" is rejected by.
   if (Status s = validate_name(base); !s.ok()) return s;
-  if (!pinned) {
-    // Newest version on disk wins, whichever engine published it.
-    version = latest_on_disk(base);
-    if (version == 0) {
-      return Status::NotFound("no detector published under '" + base + "'");
-    }
-  }
-
-  const std::string stem = versioned_name(base, version);
-  Resolved resolved;
   try {
+    if (!pinned) {
+      // Newest version on disk wins, whichever engine published it.
+      version = latest_on_disk(base);
+      if (version == 0) {
+        return Status::NotFound("no detector published under '" + base + "'");
+      }
+    }
+    const std::string stem = versioned_name(base, version);
+    Resolved resolved;
     resolved.handle = store_->get(stem);
+    resolved.info.name = base;
+    resolved.info.version = version;
+    resolved.info.source_classes = resolved.handle->source_classes();
+    resolved.info.query_samples = resolved.handle->config().query_samples;
+    resolved.info.path = store_->path_for(stem);
+    return resolved;
   } catch (const io::IoError& e) {
     return status_from(e);
   } catch (const std::exception& e) {
     return Status::Internal(e.what());
   }
-  resolved.info.name = base;
-  resolved.info.version = version;
-  resolved.info.source_classes = resolved.handle->source_classes();
-  resolved.info.query_samples = resolved.handle->config().query_samples;
-  resolved.info.path = store_->path_for(stem);
-  return resolved;
 }
 
 Result<DetectorInfo> AuditEngine::publish(const std::string& name,
@@ -191,55 +190,49 @@ Result<DetectorInfo> AuditEngine::publish(const std::string& name,
     return Status::FailedPrecondition("cannot publish an unfitted detector");
   }
 
-  util::MutexLock publish_lock(publish_mu_);
-  // Cross-process exclusivity for the scan-and-write below: the O_EXCL
-  // lock file makes "find the latest version, mint the next one, write it"
-  // atomic against every other engine publishing into this directory, so
-  // no writer can mint name@v(latest + 1) between the scan and the put —
-  // a published name@vN is never overwritten.
-  serve::StoreLock store_lock(store_->directory());
-  const std::uint32_t latest = latest_on_disk(name);
-  // Quarantined numbers stay spent: minting one again would let a pinned
-  // name@vN reach content other than what it was published with.
-  const std::uint32_t next =
-      std::max(latest, newest_version(store_->quarantined(), name)) + 1;
-  const std::string stem = versioned_name(name, next);
-
   DetectorInfo info;
   info.name = name;
-  info.version = next;
   info.source_classes = detector.source_classes();
   info.query_samples = detector.config().query_samples;
-  info.path = store_->path_for(stem);
   try {
+    // Exclusive flock(2) on the store directory for the scan-and-write
+    // below: "find the latest version, mint the next one, write it" is
+    // atomic against every other publisher into this directory, thread or
+    // process, so no writer can mint name@v(latest + 1) between the scan
+    // and the put — a published name@vN is never overwritten.
+    serve::StoreLock store_lock(store_->directory());
+    const std::uint32_t latest = latest_on_disk(name);
+    // Quarantined numbers stay spent: minting one again would let a pinned
+    // name@vN reach content other than what it was published with.
+    info.version =
+        std::max(latest, newest_version(store_->quarantined(), name)) + 1;
+    const std::string stem = versioned_name(name, info.version);
+    info.path = store_->path_for(stem);
     // The rollover itself: once the container is in place, bare-name
-    // lookups resolve to `next`, while handles resolved earlier keep their
-    // shared_ptr to the old version.
+    // lookups resolve to the new version, while handles resolved earlier
+    // keep their shared_ptr to the old one.
     store_->put(stem, std::move(detector));
+    if (latest > 0) {
+      // relaxed: statistics tally — stats() reads a snapshot, not a
+      // transaction, and no other memory is published through the counter.
+      rollovers_.fetch_add(1, std::memory_order_relaxed);
+      // Release the superseded version's cache slot: long-lived engines
+      // refit routinely and only the newest version serves bare names, so
+      // keeping every old detector resident would grow memory without
+      // bound.  Audits already in flight hold their own shared_ptr; a later
+      // pinned request for the old version reloads it from disk on demand.
+      store_->evict(versioned_name(name, latest));
+    }
   } catch (const io::IoError& e) {
     return status_from(e);
   } catch (const std::exception& e) {
     return Status::Internal(e.what());
-  }
-  if (latest > 0) {
-    // relaxed: statistics tally — stats() reads a snapshot, not a
-    // transaction, and no other memory is published through the counter.
-    rollovers_.fetch_add(1, std::memory_order_relaxed);
-    // Release the superseded version's cache slot: long-lived engines refit
-    // routinely and only the newest version serves bare names, so keeping
-    // every old detector resident would grow memory without bound.  Audits
-    // already in flight hold their own shared_ptr; a later pinned request
-    // for the old version reloads it from disk on demand.
-    store_->evict(versioned_name(name, latest));
   }
   return info;
 }
 
 Result<serve::RecoveryReport> AuditEngine::recover() {
   if (!init_status_.ok()) return init_status_;
-  // Same order as publish: publish_mu_ then (inside recover) the StoreLock,
-  // so recovery serializes against every publisher, in-process or not.
-  util::MutexLock publish_lock(publish_mu_);
   try {
     return store_->recover();
   } catch (const io::IoError& e) {
@@ -278,12 +271,18 @@ Result<DetectorInfo> AuditEngine::info(const std::string& name) {
 Result<std::vector<DetectorInfo>> AuditEngine::list() const {
   if (!init_status_.ok()) return init_status_;
   std::vector<DetectorInfo> infos;
-  for (const auto& stem : store_->list()) {
-    DetectorInfo info;
-    // Only "name@vN" stems are published versions; no other stem resolves.
-    if (!parse_versioned_name(stem, &info.name, &info.version)) continue;
-    info.path = store_->path_for(stem);
-    infos.push_back(std::move(info));
+  try {
+    for (const auto& stem : store_->list()) {
+      DetectorInfo info;
+      // Only "name@vN" stems are published versions; no other stem resolves.
+      if (!parse_versioned_name(stem, &info.name, &info.version)) continue;
+      info.path = store_->path_for(stem);
+      infos.push_back(std::move(info));
+    }
+  } catch (const io::IoError& e) {
+    return status_from(e);
+  } catch (const std::exception& e) {
+    return Status::Internal(e.what());
   }
   std::sort(infos.begin(), infos.end(),
             [](const DetectorInfo& a, const DetectorInfo& b) {

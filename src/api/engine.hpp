@@ -31,7 +31,6 @@
 #include "util/bounded_queue.hpp"
 #include "util/profiler.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace bprom::api {
 
@@ -104,8 +103,9 @@ class AuditEngine {
   /// moves those that do not decode and leftover temp files into
   /// `<store>/quarantine/` (never deleting), and reports everything it did.
   /// Afterwards every version a name resolves to can be served.  Safe
-  /// against concurrent publishers (takes the publish mutex and the
-  /// cross-process StoreLock); a healthy store comes back `clean()`.
+  /// against concurrent publishers, in this process or another: it holds
+  /// the store's StoreLock (flock(2) on the directory) for the whole scan.
+  /// A healthy store comes back `clean()`.
   Result<serve::RecoveryReport> recover();
 
   /// Metadata of a published detector; loads (and caches) the artifact.
@@ -176,10 +176,6 @@ class AuditEngine {
   Status init_status_;
   /// Engaged iff init_status_.ok().
   std::optional<serve::DetectorStore> store_;
-
-  /// Serializes this engine's publishes and recoveries, so threads sharing
-  /// the engine queue on a mutex rather than poll the StoreLock.
-  util::Mutex publish_mu_;
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> verdicts_{0};

@@ -9,7 +9,7 @@
 // Detectors are expensive to fit (a whole shadow population) but cheap to
 // load, so the serving front end keeps them on disk as `name@vN.bprom`
 // containers and caches loads in memory.  The directory is the one record
-// of what is published: no index or counter file sits beside the
+// of what is published: no index, counter or lock file sits beside the
 // containers.  The store hands out shared_ptr to *const* detectors:
 // inspection is const and thread-safe across requests, so one cached
 // detector serves a whole audit fleet.
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,36 +26,17 @@
 
 namespace bprom::serve {
 
-/// Start token of a live process: the `starttime` field of
-/// `/proc/<pid>/stat` (clock ticks since boot at exec time).  A (pid,
-/// starttime) pair names a process incarnation uniquely for the uptime of
-/// the machine — a recycled pid gets a different starttime — which is what
-/// makes lock-liveness checks immune to pid reuse.  Returns nullopt when
-/// the process does not exist or /proc is unreadable (non-Linux).
-std::optional<std::uint64_t> process_start_token(long pid);
-
 /// Cross-process publish lock over a store directory, held for the span of
-/// a scan-and-write rollover.  The lock is an O_EXCL-created file
-/// (`.publish.lock`) inside the directory: creation is atomic on every
-/// POSIX filesystem, so exactly one engine — in this process or any other —
-/// can hold it.  The constructor spins (yield + millisecond naps) until it
-/// wins; the destructor unlinks.
-///
-/// Stale-lock breaking is two-tier.  The holder writes a
-/// "<pid> <starttime>\n" breadcrumb; a waiter that can prove the holder is
-/// dead — the pid is gone, or it now names a *different* process (start
-/// token mismatch, i.e. pid reuse) — breaks the lock immediately.  When
-/// liveness cannot be decided (holder alive, crumb unreadable, old-format
-/// crumb without a token), the waiter falls back to the mtime rule: a lock
-/// older than `kStaleAfterSeconds` is debris — publishes take milliseconds,
-/// so a minute-old lock is never live.
+/// a scan-and-write rollover: an exclusive flock(2) on the directory
+/// itself.  Every holder opens its own file description, so threads of one
+/// process exclude each other exactly as processes do, and the kernel
+/// releases the lock of a holder that dies, however it dies.  No file is
+/// written for the lock.  The constructor blocks until the lock is granted;
+/// the destructor closes the descriptor, which releases it.
 class BPROM_SCOPED_CAPABILITY StoreLock {
  public:
-  static constexpr const char* kLockName = ".publish.lock";
-  static constexpr double kStaleAfterSeconds = 60.0;
-
-  /// Blocks until acquired.  Throws io::IoError when the directory cannot
-  /// hold a lock file at all (missing, unwritable).
+  /// Blocks until acquired.  Throws io::IoError (kIo) when the directory
+  /// cannot be opened or locked: a publish never goes ahead unlocked.
   explicit StoreLock(const std::string& directory) BPROM_ACQUIRE();
   ~StoreLock() BPROM_RELEASE();
 
@@ -64,7 +44,7 @@ class BPROM_SCOPED_CAPABILITY StoreLock {
   StoreLock& operator=(const StoreLock&) = delete;
 
  private:
-  std::string path_;
+  int fd_;
 };
 
 /// One problem found (and handled) by DetectorStore::recover().
@@ -74,7 +54,6 @@ struct RecoveryIssue {
     kCorrupt,          ///< container that does not decode as a detector
                        ///< (torn, CRC-failed, refused field) — quarantined
     kVersionMismatch,  ///< newer-format container — left in place
-    kStaleLock,        ///< publish lock debris from a dead writer
   };
   Kind kind;
   std::string file;            ///< filename relative to the store directory
@@ -108,14 +87,17 @@ class DetectorStore {
   /// when the name has never been stored.
   std::shared_ptr<const core::BpromDetector> get(const std::string& name);
 
-  /// Names of every detector on disk, sorted.
+  /// Names of every detector on disk, sorted.  Throws io::IoError (kIo)
+  /// when the directory cannot be read to the end: a partial scan would
+  /// hide published versions, and a publish would mint one of them again.
   [[nodiscard]] std::vector<std::string> list() const;
 
   /// The name each container under `quarantine/` was published as: its
   /// file name up to the `.bprom` extension, so a collision suffix (".1")
   /// still counts.  Quarantined temp files are skipped: a torn publish
   /// never renamed its bytes into place, so no reader saw that name.
-  /// Unsorted.
+  /// Unsorted.  A missing `quarantine/` means nothing is quarantined; any
+  /// other failure to read it throws io::IoError (kIo), as list() does.
   [[nodiscard]] std::vector<std::string> quarantined() const;
 
   /// Drop a name from the in-memory cache (the file stays on disk).

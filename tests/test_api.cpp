@@ -1,13 +1,18 @@
 // Public-façade behavior: Status/Result plumbing, versioned publish +
 // rollover, async batched audits, and every typed error path — none of
 // which may throw or abort across the api boundary.
+#include <grp.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -23,6 +28,7 @@
 #include "data/ops.hpp"
 #include "io/binary.hpp"
 #include "nn/arch.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -526,11 +532,14 @@ TEST(ApiEngine, TwoEnginesPublishingConcurrentlyNeverCollide) {
 
   // Pre-fix, both engines could scan the directory concurrently, mint the
   // same "aud@vN", and one publish would silently vanish.  Under the
-  // StoreLock every publish mints a distinct version.
-  constexpr int kPerEngine = 3;
+  // StoreLock every publish mints a distinct version, whether it races
+  // another engine or another thread of its own engine (two threads share
+  // `left`).
+  constexpr int kPerThread = 3;
+  constexpr int kThreads = 3;
   std::atomic<int> failures{0};
   auto publisher = [&failures](api::AuditEngine& engine) {
-    for (int i = 0; i < kPerEngine; ++i) {
+    for (int i = 0; i < kPerThread; ++i) {
       if (!engine.publish("aud", fixture().detector).ok()) {
         failures.fetch_add(1);
       }
@@ -538,30 +547,145 @@ TEST(ApiEngine, TwoEnginesPublishingConcurrentlyNeverCollide) {
   };
   std::thread a(publisher, std::ref(left));
   std::thread b(publisher, std::ref(right));
+  std::thread c(publisher, std::ref(left));
   a.join();
   b.join();
+  c.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // All 2k versions exist — none was overwritten or skipped.
+  // All versions exist — none was overwritten or skipped.
+  constexpr int kVersions = kThreads * kPerThread;
   api::AuditEngine fresh({.store_dir = dir});
   const auto listed = fresh.list();
   ASSERT_TRUE(listed.ok());
-  ASSERT_EQ(listed.value().size(), 2U * kPerEngine);
-  for (int v = 1; v <= 2 * kPerEngine; ++v) {
+  ASSERT_EQ(listed.value().size(), static_cast<std::size_t>(kVersions));
+  for (int v = 1; v <= kVersions; ++v) {
     EXPECT_TRUE(fresh.info("aud@v" + std::to_string(v)).ok()) << v;
   }
   // The containers are the only record of what was published: no lock
-  // debris, no `.generation` counter, nothing else in the directory.
+  // file, no `.generation` counter, nothing else in the directory.
   std::vector<std::string> files;
   for (const auto& entry : fs::directory_iterator(dir)) {
     files.push_back(entry.path().filename().string());
   }
   std::sort(files.begin(), files.end());
   std::vector<std::string> containers;
-  for (int v = 1; v <= 2 * kPerEngine; ++v) {
+  for (int v = 1; v <= kVersions; ++v) {
     containers.push_back("aud@v" + std::to_string(v) + ".bprom");
   }
   EXPECT_EQ(files, containers);
+}
+
+TEST(ApiEngine, PublishFailuresAreStatusesNeverExceptions) {
+  const std::string dir = fresh_dir("bprom_api_publishfaults");
+  api::AuditEngine engine({.store_dir = dir});
+  ASSERT_TRUE(engine.status().ok());
+  const auto publish = [&engine] {
+    return engine.publish("aud", fixture().detector);
+  };
+  api::StatusCode code = api::StatusCode::kOk;
+
+  // A failure while taking the store lock, through publish() and fit().
+  std::string error;
+  ASSERT_TRUE(util::failpoints_arm("store.lock.crash=err", &error)) << error;
+  EXPECT_NO_THROW(code = publish().status().code());
+  EXPECT_EQ(code, api::StatusCode::kInternal);
+  const auto& f = fixture();
+  api::FitRequest fit;
+  fit.name = "aud";
+  fit.source_classes = f.src.profile.classes;
+  fit.reserved_clean = &f.src.test;
+  fit.target_train = &f.tgt.train;
+  fit.target_test = &f.tgt.test;
+  fit.config = core::default_bprom_config(micro_scale(),
+                                          nn::ArchKind::kResNet18Mini, 7);
+  code = api::StatusCode::kOk;
+  EXPECT_NO_THROW(code = engine.fit(fit).status().code());
+  EXPECT_EQ(code, api::StatusCode::kInternal);
+  util::failpoints_clear();
+  // The failed attempts released the lock and minted nothing.
+  const auto first = publish();
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  EXPECT_EQ(first.value().version, 1U);
+
+  // The store directory removed from under the engine.
+  fs::remove_all(dir);
+  code = api::StatusCode::kOk;
+  EXPECT_NO_THROW(code = publish().status().code());
+  EXPECT_EQ(code, api::StatusCode::kInternal);
+  fs::create_directories(dir);
+  const auto again = publish();
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  EXPECT_EQ(again.value().version, 1U);
+}
+
+/// Child entry, exec'd by ApiEngine.UnreadableStoreIsAnErrorNotAnEmptyStore.
+/// Runs where permission bits bind (uid/gid 65534 when started as root),
+/// publishes aud@v1 into a fresh store, makes the store writable but not
+/// readable (mode 0300), then checks what the engine makes of it.  Exits 0
+/// when every check holds, 77 when it cannot drop privileges, otherwise
+/// with the number of the check that failed.
+TEST(UnreadableStoreChild, Run) {
+  const char* dir = std::getenv("BPROM_UNREADABLE_STORE");
+  if (dir == nullptr) GTEST_SKIP() << "not an unreadable-store child";
+  if (geteuid() == 0 &&
+      (setgroups(0, nullptr) != 0 || setgid(65534) != 0 ||
+       setuid(65534) != 0)) {
+    _exit(77);
+  }
+  const auto read_all = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  api::AuditEngine engine({.store_dir = dir});
+  if (!engine.publish("aud", fixture().detector).ok()) _exit(10);
+  const fs::path v1 = fs::path(dir) / "aud@v1.bprom";
+  const std::string bytes = read_all(v1);
+  struct stat before {};
+  if (::stat(v1.c_str(), &before) != 0 || ::chmod(dir, 0300) != 0) _exit(11);
+  // Read as an empty store, the bare name would be not_found...
+  if (engine.info("aud").status().code() != api::StatusCode::kInternal) {
+    _exit(12);
+  }
+  // ...and a publish would mint aud@v1 again, over the published one.
+  if (engine.publish("aud", fixture().detector).status().code() !=
+      api::StatusCode::kInternal) {
+    _exit(13);
+  }
+  struct stat after {};
+  if (::stat(v1.c_str(), &after) != 0 || after.st_ino != before.st_ino ||
+      read_all(v1) != bytes) {
+    _exit(14);
+  }
+  _exit(0);
+}
+
+TEST(ApiEngine, UnreadableStoreIsAnErrorNotAnEmptyStore) {
+  const std::string dir = fresh_dir("bprom_api_unreadable");
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // A fresh process, so the child's engine threads start outside a
+    // forked copy of this threaded one.
+    setenv("BPROM_UNREADABLE_STORE", dir.c_str(), 1);
+    execl("/proc/self/exe", "test_api_unreadable_child",
+          "--gtest_filter=UnreadableStoreChild.Run",
+          static_cast<char*>(nullptr));
+    _exit(97);  // exec failed
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  std::error_code ec;
+  fs::permissions(dir, fs::perms::owner_all, ec);
+  fs::remove_all(dir, ec);
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "child did not exit cleanly";
+  if (WEXITSTATUS(wstatus) == 77) {
+    GTEST_SKIP() << "cannot drop to uid/gid 65534";
+  }
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0)
+      << "10 = first publish failed, 11 = stat or chmod failed, 12 = info "
+         "was not kInternal, 13 = second publish was not kInternal, 14 = "
+         "aud@v1.bprom changed, 97 = exec failed";
 }
 
 TEST(ApiEngine, BareNamesFollowPublishesFromAnotherEngine) {

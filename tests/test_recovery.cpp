@@ -1,5 +1,6 @@
 // End-to-end failure recovery: DetectorStore::recover() semantics (every
-// container decoded as a detector, quarantine, lock debris), exhaustive
+// container decoded as a detector, quarantine, an older build's lock file
+// left alone), concurrent publishes from two processes, exhaustive
 // truncate-at-every-byte / flip-one-byte sweeps over a genuinely published
 // container, and the crash matrix — a child process is killed at every
 // publish-path failpoint the registry names, in turn, and the parent must
@@ -10,6 +11,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -249,24 +252,26 @@ TEST(Recover, ContainersThatDoNotDecodeAsDetectorsAreQuarantined) {
   fs::remove_all(dir);
 }
 
-TEST(Recover, LockDebrisFromDeadWriterIsReportedAndBroken) {
+TEST(Recover, LockFileDebrisIsLeftAlone) {
   const std::string dir = fresh_dir("bprom_rec_lock");
   serve::DetectorStore store(dir);
+  write_container((fs::path(dir) / "a@v1.bprom").string());
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) _exit(0);
   int wstatus = 0;
   ASSERT_EQ(waitpid(child, &wstatus, 0), child);
-  {
-    std::ofstream out((fs::path(dir) / serve::StoreLock::kLockName).string());
-    out << child << " 777\n";  // provably-dead holder, fresh mtime
-  }
+  // A dead writer's `.publish.lock`, as builds that locked with a file left
+  // it.  The store lock writes no file, so recovery passes over this one
+  // like any other file that is not a container.
+  const fs::path debris = fs::path(dir) / ".publish.lock";
+  std::ofstream(debris.string()) << child << " 777\n";
 
   const serve::RecoveryReport report = store.recover();
-  ASSERT_EQ(report.issues.size(), 1U);
-  EXPECT_EQ(report.issues[0].kind, serve::RecoveryIssue::Kind::kStaleLock);
-  // recover() released its own lock on exit.
-  EXPECT_FALSE(fs::exists(fs::path(dir) / serve::StoreLock::kLockName));
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.artifacts_ok, 1U);
+  EXPECT_TRUE(fs::exists(debris));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "quarantine"));
   fs::remove_all(dir);
 }
 
@@ -365,6 +370,106 @@ TEST_F(PublishedContainer, FlippingAnyOneByteIsTyped) {
     // header fields are all validated, so this must also have THROWN —
     // but the contract the sweep enforces is only "clean or typed".
   }
+}
+
+// ---- two processes publishing into one store at once ----
+
+constexpr int kChildPublishes = 3;
+
+/// Child-process entry, exec'd by CrossProcess below.  Loads the
+/// pre-fitted detector from the seed store, waits until the parent closes
+/// the start pipe (so both children publish at once), then publishes it as
+/// `aud` kChildPublishes times.  Exits with the number of failed publishes
+/// (90 = seed load failed).
+TEST(PublishChild, PublishRepeatedly) {
+  const char* dir = std::getenv("BPROM_PUBLISH_DIR");
+  const char* seed = std::getenv("BPROM_PUBLISH_SEED_DIR");
+  const char* start = std::getenv("BPROM_PUBLISH_START_FD");
+  if (dir == nullptr || seed == nullptr || start == nullptr) {
+    GTEST_SKIP() << "not a publishing child";
+  }
+  api::AuditEngine seeder({.store_dir = seed});
+  auto handle = seeder.detector("aud");
+  if (!handle.ok()) _exit(90);
+  api::AuditEngine engine({.store_dir = dir});
+  char byte = 0;
+  (void)!read(std::atoi(start), &byte, 1);  // returns at EOF
+  int failed = 0;
+  for (int i = 0; i < kChildPublishes; ++i) {
+    if (!engine.publish("aud", *handle.value()).ok()) ++failed;
+  }
+  _exit(failed);
+}
+
+TEST(CrossProcess, TwoProcessesPublishingConcurrentlyNeverCollide) {
+  const std::string seed_dir = fresh_dir("bprom_xproc_seed");
+  const std::string dir = fresh_dir("bprom_xproc_store");
+  {
+    api::AuditEngine seeder({.store_dir = seed_dir});
+    ASSERT_TRUE(seeder.publish("aud", fixture().detector).ok());
+  }
+  fs::create_directories(dir);
+
+  int start[2];
+  ASSERT_EQ(pipe(start), 0);
+  const std::string start_fd = std::to_string(start[0]);
+  std::vector<pid_t> children;
+  for (int c = 0; c < 2; ++c) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      // Exec a fresh copy of this binary running only the child entry, as
+      // the crash matrix does; the read end of the start pipe survives the
+      // exec.
+      close(start[1]);
+      setenv("BPROM_PUBLISH_DIR", dir.c_str(), 1);
+      setenv("BPROM_PUBLISH_SEED_DIR", seed_dir.c_str(), 1);
+      setenv("BPROM_PUBLISH_START_FD", start_fd.c_str(), 1);
+      execl("/proc/self/exe", "test_recovery_publish_child",
+            "--gtest_filter=PublishChild.PublishRepeatedly",
+            static_cast<char*>(nullptr));
+      _exit(97);  // exec failed
+    }
+    children.push_back(pid);
+  }
+  close(start[0]);
+  close(start[1]);  // both children start publishing now
+  for (const pid_t pid : children) {
+    int wstatus = 0;
+    ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+    ASSERT_TRUE(WIFEXITED(wstatus)) << "child did not exit cleanly";
+    EXPECT_EQ(WEXITSTATUS(wstatus), 0)
+        << "failed publishes (90 = seed load failed, 97 = exec failed)";
+  }
+
+  // Every publish minted its own version: none was overwritten or skipped,
+  // and the containers are all the store holds.
+  constexpr int kVersions = 2 * kChildPublishes;
+  std::vector<std::string> want;
+  for (int v = 1; v <= kVersions; ++v) {
+    want.push_back("aud@v" + std::to_string(v) + ".bprom");
+  }
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(files, want);
+
+  api::AuditEngine engine({.store_dir = dir});
+  for (int v = 1; v <= kVersions; ++v) {
+    const auto info = engine.info("aud@v" + std::to_string(v));
+    EXPECT_TRUE(info.ok()) << v << ": " << info.status().to_string();
+  }
+  EXPECT_EQ(engine.info("aud").value().version,
+            static_cast<std::uint32_t>(kVersions));
+  const auto report = engine.recover();
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_TRUE(report.value().clean());
+  EXPECT_EQ(report.value().artifacts_ok, static_cast<std::size_t>(kVersions));
+  fs::remove_all(dir);
+  fs::remove_all(seed_dir);
 }
 
 // ---- crash matrix: kill the publisher at every failpoint, recover ----

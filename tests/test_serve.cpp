@@ -1,5 +1,5 @@
 // Serving-layer behavior: model cloning, parallel-inspect determinism,
-// the detector store cache, and batched audits.
+// the detector store cache, batched audits, and the store's publish lock.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -10,6 +10,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -340,12 +341,18 @@ TEST(AuditEngine, BatchVerdictsAreThreadCountInvariant) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(StoreLock, MutualExclusionAcrossHolders) {
+/// An empty directory under the temp root, for one lock test.
+std::string lock_dir(const std::string& name) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bprom_storelock_mx").string();
+  const std::string dir = (fs::temp_directory_path() / name).string();
   fs::remove_all(dir);
   fs::create_directories(dir);
+  return dir;
+}
+
+TEST(StoreLock, MutualExclusionAcrossHolders) {
+  namespace fs = std::filesystem;
+  const std::string dir = lock_dir("bprom_storelock_mx");
 
   // Contending holders must never overlap their critical sections — the
   // exact property the publish scan-and-write relies on.
@@ -370,104 +377,124 @@ TEST(StoreLock, MutualExclusionAcrossHolders) {
   for (auto& h : holders) h.join();
   EXPECT_EQ(entries.load(), 20);
   EXPECT_EQ(max_inside.load(), 1);
-  // Released: the lock file is gone and a fresh acquire succeeds at once.
-  EXPECT_FALSE(fs::exists(fs::path(dir) / serve::StoreLock::kLockName));
+  // The lock writes no file, and a fresh acquire after release succeeds at
+  // once.
+  EXPECT_TRUE(fs::is_empty(dir));
   serve::StoreLock fresh(dir);
   fs::remove_all(dir);
 }
 
-TEST(StoreLock, StaleLockFromCrashedWriterIsBroken) {
+TEST(StoreLock, HeldLockCannotBeBrokenThroughTheLockFile) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bprom_storelock_stale").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const fs::path lock_path = fs::path(dir) / serve::StoreLock::kLockName;
-  {
-    std::ofstream out(lock_path.string());
-    out << "999999\n";  // debris of a "crashed" writer
-  }
-  // Age the file past the stale threshold; acquisition must break it
-  // instead of spinning forever.
-  fs::last_write_time(
-      lock_path, fs::file_time_type::clock::now() -
-                     std::chrono::seconds(
-                         static_cast<long>(
-                             serve::StoreLock::kStaleAfterSeconds) + 10));
-  serve::StoreLock lock(dir);
-  SUCCEED();  // acquired despite the debris
-  fs::remove_all(dir);
-}
-
-TEST(StoreLock, ProcessStartTokenIsStableForALiveProcess) {
-  const auto token = serve::process_start_token(static_cast<long>(getpid()));
-  ASSERT_TRUE(token.has_value());
-  // starttime is fixed at exec: re-reading must agree exactly.
-  EXPECT_EQ(serve::process_start_token(static_cast<long>(getpid())), token);
-}
-
-TEST(StoreLock, ProcessStartTokenOfDeadPidIsEmpty) {
-  const pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) _exit(0);
-  int wstatus = 0;
-  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
-  // Reaped: /proc/<pid> is gone, so the incarnation cannot be named.
-  EXPECT_FALSE(
-      serve::process_start_token(static_cast<long>(child)).has_value());
-}
-
-TEST(StoreLock, DeadHolderCrumbIsBrokenImmediately) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bprom_storelock_dead").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) _exit(0);
-  int wstatus = 0;
-  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
-  {
-    // Full modern crumb of a writer that is provably dead — the pid is
-    // reaped, so liveness is decidable without waiting out the mtime rule.
-    std::ofstream out((fs::path(dir) / serve::StoreLock::kLockName).string());
-    out << child << " 12345\n";
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  serve::StoreLock lock(dir);  // must not spin for kStaleAfterSeconds
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
-            static_cast<long>(serve::StoreLock::kStaleAfterSeconds) / 2);
-  fs::remove_all(dir);
-}
-
-TEST(StoreLock, LiveHolderWithFreshLockIsNotBroken) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bprom_storelock_live").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const fs::path lock_path = fs::path(dir) / serve::StoreLock::kLockName;
-  {
-    // Crumb of THIS process: alive, so only the mtime rule could break it,
-    // and the file is fresh.
-    std::ofstream out(lock_path.string());
-    out << getpid() << " "
-        << serve::process_start_token(static_cast<long>(getpid())).value()
-        << "\n";
-  }
+  const std::string dir = lock_dir("bprom_storelock_crumbs");
+  // Older builds locked a store by creating `.publish.lock` and broke that
+  // lock when its "<pid> <starttime>" crumb named a dead pid (999999) or
+  // another process (pid 1).  No file reaches the kernel's lock: the waiter
+  // stays out whatever the file says, until the holder releases.
   std::atomic<bool> acquired{false};
-  std::thread waiter([&] {
-    serve::StoreLock lock(dir);
-    acquired.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_FALSE(acquired.load()) << "live fresh lock was broken";
-  fs::remove(lock_path);  // simulate the holder releasing
+  std::thread waiter;
+  {
+    serve::StoreLock held(dir);
+    waiter = std::thread([&] {
+      serve::StoreLock lock(dir);
+      acquired.store(true);
+    });
+    for (const char* crumb : {"999999 1\n", "1 1\n"}) {
+      std::ofstream((fs::path(dir) / ".publish.lock").string()) << crumb;
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+      EXPECT_FALSE(acquired.load()) << "crumb '" << crumb
+                                    << "' broke a held lock";
+    }
+  }
   waiter.join();
   EXPECT_TRUE(acquired.load());
   fs::remove_all(dir);
+}
+
+TEST(StoreLock, HolderInAnotherProcessBlocksUntilItDies) {
+  const std::string dir = lock_dir("bprom_storelock_child");
+  int locked[2];  // child -> parent: the child holds the lock
+  int die[2];     // parent -> child: exit now, still holding it
+  ASSERT_EQ(pipe(locked), 0);
+  ASSERT_EQ(pipe(die), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // A forked child of a threaded process: only open(2), flock(2), read(2),
+    // write(2) and _exit(2) from here on.
+    serve::StoreLock lock(dir);
+    char byte = 'L';
+    if (write(locked[1], &byte, 1) != 1) _exit(2);
+    if (read(die[0], &byte, 1) != 1) _exit(3);
+    _exit(0);  // no destructor runs: only the kernel can release the lock
+  }
+  close(locked[1]);
+  close(die[0]);
+  char byte = 0;
+  ASSERT_EQ(read(locked[0], &byte, 1), 1);
+
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> acquired{false};
+  Clock::time_point acquired_at;
+  std::thread waiter([&] {
+    serve::StoreLock lock(dir);
+    acquired_at = Clock::now();
+    acquired.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(acquired.load()) << "got in while the child held the lock";
+
+  const Clock::time_point told = Clock::now();
+  EXPECT_EQ(write(die[1], &byte, 1), 1);
+  int wstatus = 0;
+  EXPECT_EQ(waitpid(child, &wstatus, 0), child);
+  EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+  waiter.join();
+  ASSERT_TRUE(acquired.load());
+  EXPECT_LT(acquired_at - told, std::chrono::seconds(1));
+  close(locked[0]);
+  close(die[1]);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StoreLock, LockFileFromAnOlderBuildBlocksNothing) {
+  namespace fs = std::filesystem;
+  auto src = data::make_dataset(data::DatasetKind::kCifar10, 39, 400, 160);
+  auto tgt = data::make_dataset(data::DatasetKind::kStl10, 40, 300, 160);
+  const auto detector = core::fit_detector(
+      src, tgt, 0.10, nn::ArchKind::kResNet18Mini, 7, micro_scale());
+  const pid_t dead = fork();
+  ASSERT_GE(dead, 0);
+  if (dead == 0) _exit(0);
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(dead, &wstatus, 0), dead);
+
+  // Older builds left `.publish.lock` behind with a "<pid> <starttime>"
+  // crumb (a dead writer's), or "<pid>" when they could not read their
+  // start time (this process, with a fresh mtime: a live holder to them).
+  // Either is an ordinary file now: it blocks neither the lock nor a
+  // publish, nothing moves or deletes it, and recover() reports nothing.
+  for (const std::string& crumb :
+       {std::to_string(dead) + " 12345\n", std::to_string(getpid()) + "\n"}) {
+    SCOPED_TRACE(crumb);
+    const std::string dir = lock_dir("bprom_storelock_debris");
+    const fs::path debris = fs::path(dir) / ".publish.lock";
+    std::ofstream(debris.string()) << crumb;
+    { serve::StoreLock lock(dir); }
+
+    api::AuditEngine engine({.store_dir = dir});
+    const auto published = engine.publish("aud", detector);
+    ASSERT_TRUE(published.ok()) << published.status().to_string();
+    EXPECT_EQ(published.value().version, 1U);
+    const auto report = engine.recover();
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    EXPECT_TRUE(report.value().clean());
+    EXPECT_EQ(report.value().artifacts_ok, 1U);
+
+    std::ifstream in(debris.string());
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), crumb);
+    fs::remove_all(dir);
+  }
 }
 
 }  // namespace
