@@ -1,24 +1,34 @@
-// GEMM kernel microbenchmark: blocked kernel vs the naive single-thread
-// reference across the shapes the framework's nets actually run, plus the
-// large square shapes of the >= 2x single-thread gate, and every tile
-// variant this host can run timed single-threaded on each shape.  Emits
-// BENCH_gemm.json via BenchReport, with the chosen tile under
-// labels.gemm_tile:
-//   <shape>/naive          seconds, scalar reference, 1 thread
-//   <shape>/blocked_1t     seconds, blocked kernel under a 1-thread pool
-//   <shape>/blocked        seconds, blocked kernel on the default pool
-//   <shape>/speedup_1t     naive / blocked_1t ratio (dimensionless)
-//   <shape>/<variant>_1t   seconds, that tile variant under a 1-thread pool
+// Kernel microbenchmark.  The GEMM: blocked kernel vs the naive
+// single-thread reference across the shapes the framework's training path
+// runs, plus the large square shapes of the >= 2x single-thread gate, and
+// every tile variant this host can run timed single-threaded on each shape.
+// The lane convolutions: every variant this host can run, single-threaded
+// on one full 16-row chunk, at each Conv2d and DepthwiseConv2d shape of the
+// ResNet18Mini, MobileNetV2Mini and MobileViTMini inference forwards on
+// 3 x 16 x 16 inputs, next to the same layer's row-major forward on those
+// 16 rows (im2col plus per-sample GEMMs for Conv2d), which is now the
+// training path.  Emits BENCH_gemm.json via BenchReport, with the chosen
+// variant under labels.gemm_tile:
+//   gemm/<shape>/naive          seconds, scalar reference, 1 thread
+//   gemm/<shape>/blocked_1t     seconds, blocked kernel under a 1-thread pool
+//   gemm/<shape>/blocked        seconds, blocked kernel on the default pool
+//   gemm/<shape>/speedup_1t     naive / blocked_1t ratio (dimensionless)
+//   gemm/<shape>/<variant>_1t   seconds, that tile variant, 1-thread pool
+//   lanes/<layer>/forward_1t    seconds, row-major forward of 16 rows
+//   lanes/<layer>/<variant>_1t  seconds, that variant's lane kernel, 16 lanes
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
+#include "nn/layers.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_variant.hpp"
+#include "tensor/lanes.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -33,7 +43,7 @@ struct Shape {
   Trans ta, tb;
 };
 
-// The first rows are the framework's hot shapes: the per-sample Conv2d
+// The first rows are the training path's hot shapes: the per-sample Conv2d
 // forward GEMMs (W . cols over the patch-major im2col matrix) of the
 // 16 x 16 nets, Linear forward (x . W^T), Linear dW (G^T . X), a wider
 // Conv2d forward, attention scores (Q . K^T).  The "large*" rows are the
@@ -51,6 +61,35 @@ const Shape kShapes[] = {
     {"attn_scores_t256", 256, 256, 64, Trans::kNo, Trans::kYes},
     {"large_384", 384, 384, 384, Trans::kNo, Trans::kNo},
     {"large_512", 512, 512, 512, Trans::kNo, Trans::kNo},
+};
+
+// Every Conv2d (depthwise = false) and DepthwiseConv2d shape of the three
+// nets' inference forwards on 3 x 16 x 16 inputs, each once.
+struct LaneShape {
+  const char* id;
+  bool depthwise;
+  std::size_t in_c, out_c, kernel, stride, pad, h, w;
+};
+
+const LaneShape kLaneShapes[] = {
+    // ResNet18Mini: stem, then two residual blocks (conv1, conv2, 1x1 skip).
+    {"conv_3to4_k3_16x16", false, 3, 4, 3, 1, 1, 16, 16},
+    {"conv_4to8_k3s2_16x16", false, 4, 8, 3, 2, 1, 16, 16},
+    {"conv_8to8_k3_8x8", false, 8, 8, 3, 1, 1, 8, 8},
+    {"conv_4to8_k1s2_16x16", false, 4, 8, 1, 2, 0, 16, 16},
+    {"conv_8to16_k3s2_8x8", false, 8, 16, 3, 2, 1, 8, 8},
+    {"conv_16to16_k3_4x4", false, 16, 16, 3, 1, 1, 4, 4},
+    {"conv_8to16_k1s2_8x8", false, 8, 16, 1, 2, 0, 8, 8},
+    // MobileNetV2Mini and MobileViTMini: stem and pointwise convolutions.
+    {"conv_3to8_k3_16x16", false, 3, 8, 3, 1, 1, 16, 16},
+    {"conv_8to16_k1_8x8", false, 8, 16, 1, 1, 0, 8, 8},
+    {"conv_16to16_k1_8x8", false, 16, 16, 1, 1, 0, 8, 8},
+    {"conv_16to16_k1_4x4", false, 16, 16, 1, 1, 0, 4, 4},
+    {"conv_16to32_k1_4x4", false, 16, 32, 1, 1, 0, 4, 4},
+    // Their depthwise convolutions.
+    {"dw_8_k3s2_16x16", true, 8, 8, 3, 2, 1, 16, 16},
+    {"dw_16_k3_8x8", true, 16, 16, 3, 1, 1, 8, 8},
+    {"dw_16_k3s2_8x8", true, 16, 16, 3, 2, 1, 8, 8},
 };
 
 double time_reps(std::size_t reps, const std::function<void()>& body) {
@@ -131,6 +170,67 @@ int main() {
   }
   std::printf("large shapes >= 2x single-thread: %s\n",
               large_ok ? "yes" : "NO");
+
+  // Lane convolutions, one full chunk each, every time under a 1-thread
+  // pool so a layer's own sharding cannot blur the comparison.
+  std::printf("\n%-22s %12s", "lane layer", "forward_us");
+  for (const auto& variant : bprom::tensor::detail::gemm_variants()) {
+    if (variant.supported) std::printf(" %12s", variant.name);
+  }
+  std::printf("\n");
+  bprom::util::ScopedPoolOverride serial(one);
+  for (const LaneShape& s : kLaneShapes) {
+    bprom::util::Rng rng(103);
+    const bprom::tensor::ConvGeometry g{s.in_c, s.h, s.w, s.kernel, s.stride,
+                                        s.pad};
+    const auto x = bprom::tensor::Tensor::randn(
+        {bprom::tensor::kLanes, s.in_c, s.h, s.w}, rng);
+    const bprom::tensor::Lanes lanes =
+        bprom::tensor::Lanes::pack(x, 0, bprom::tensor::kLanes);
+    bprom::tensor::Lanes y({s.out_c, g.out_h(), g.out_w()},
+                           bprom::tensor::kLanes);
+    std::unique_ptr<bprom::nn::Layer> layer;
+    if (s.depthwise) {
+      layer = std::make_unique<bprom::nn::DepthwiseConv2d>(s.in_c, s.kernel,
+                                                           s.stride, s.pad,
+                                                           rng);
+    } else {
+      layer = std::make_unique<bprom::nn::Conv2d>(s.in_c, s.out_c, s.kernel,
+                                                  s.stride, s.pad, rng);
+    }
+    const std::vector<bprom::nn::Parameter*> params = layer->parameters();
+    const float* weight = params[0]->value.data();
+    const float* bias = params[1]->value.data();
+
+    const std::size_t taps = s.depthwise ? s.kernel * s.kernel
+                                         : g.patch_size();
+    const std::size_t muladds =
+        bprom::tensor::kLanes * g.out_h() * g.out_w() * s.out_c * taps;
+    const std::size_t reps =
+        std::max<std::size_t>(1, (std::size_t{1} << 25) / muladds);
+    const std::string prefix = std::string("lanes/") + s.id + "/";
+    const double forward = time_reps(reps, [&] {
+      const bprom::tensor::Tensor out = layer->forward(x, false);
+      (void)out;
+    });
+    std::printf("%-22s %12.2f", s.id, forward * 1e6);
+    report.add_cell(prefix + "forward_1t", forward);
+    for (const auto& variant : bprom::tensor::detail::gemm_variants()) {
+      if (!variant.supported) continue;
+      const double seconds = time_reps(reps, [&] {
+        if (s.depthwise) {
+          bprom::tensor::detail::depthwise_lanes_with(variant, lanes, g,
+                                                      weight, bias, y);
+        } else {
+          bprom::tensor::detail::conv2d_lanes_with(variant, lanes, g, weight,
+                                                   bias, s.out_c, y);
+        }
+      });
+      std::printf(" %12.2f", seconds * 1e6);
+      report.add_cell(prefix + variant.name + "_1t", seconds);
+    }
+    std::printf("\n");
+  }
   report.write();
   return 0;
 }

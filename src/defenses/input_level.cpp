@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "linalg/stats.hpp"
 #include "nn/loss.hpp"
@@ -10,14 +12,19 @@
 namespace bprom::defenses {
 namespace {
 
-Tensor single(const Tensor& batch, std::size_t i) {
-  const std::size_t sample = batch.size() / batch.dim(0);
-  std::vector<std::size_t> shape = batch.shape();
-  shape[0] = 1;
-  Tensor out(shape);
-  std::copy(batch.data() + i * sample, batch.data() + (i + 1) * sample,
-            out.data());
-  return out;
+/// Top-left corners of the non-overlapping `cell` x `cell` grid over an
+/// h x w image, row-major: the order the occlusion scans keep.
+std::vector<std::pair<std::size_t, std::size_t>> grid_cells(std::size_t h,
+                                                            std::size_t w,
+                                                            std::size_t cell) {
+  std::vector<std::pair<std::size_t, std::size_t>> cells;
+  cells.reserve((h / cell) * (w / cell));
+  for (std::size_t oy = 0; oy + cell <= h; oy += cell) {
+    for (std::size_t ox = 0; ox + cell <= w; ox += cell) {
+      cells.emplace_back(oy, ox);
+    }
+  }
+  return cells;
 }
 
 int argmax_row(const float* row, std::size_t k) {
@@ -78,57 +85,67 @@ std::vector<double> sentinet_scores(nn::Model& model, const Tensor& inputs,
   const std::size_t w = inputs.dim(3);
   const std::size_t sample = inputs.size() / n;
   const std::size_t k = model.num_classes();
+  const auto cells = grid_cells(h, w, occluder);
+  const std::size_t m = std::min(transplant_targets, clean_reference.size());
   std::vector<double> scores(n, 0.0);
 
+  // Rows are independent, so batching the queries moves no score: all base
+  // predictions in one call, then per input one call for its occluded
+  // copies and one for its transplant hosts.
+  const Tensor base_probs = model.predict_proba(inputs);
   for (std::size_t i = 0; i < n; ++i) {
-    Tensor base = single(inputs, i);
-    Tensor base_probs = model.predict_proba(base);
-    const int pred = argmax_row(base_probs.data(), k);
+    const float* x = inputs.data() + i * sample;
+    const int pred = argmax_row(base_probs.data() + i * k, k);
+    const auto at_pred = [&](const Tensor& probs, std::size_t row) {
+      return probs.data()[row * k + static_cast<std::size_t>(pred)];
+    };
 
     // Occlusion sensitivity: find the grid cell whose occlusion drops the
     // predicted-class confidence the most.
+    Tensor occluded({cells.size(), c, h, w});
+    for (std::size_t j = 0; j < cells.size(); ++j) {
+      const auto [oy, ox] = cells[j];
+      std::copy(x, x + sample, occluded.data() + j * sample);
+      for (std::size_t ch = 0; ch < c; ++ch) {
+        for (std::size_t y = 0; y < occluder; ++y) {
+          for (std::size_t xx = 0; xx < occluder; ++xx) {
+            occluded.at4(j, ch, oy + y, ox + xx) = 0.5F;
+          }
+        }
+      }
+    }
+    const Tensor probs = model.predict_proba(occluded);
+    // Scanned in grid order, so the strict > keeps the first best cell.
     double best_drop = -1.0;
     std::size_t best_y = 0;
     std::size_t best_x = 0;
-    for (std::size_t oy = 0; oy + occluder <= h; oy += occluder) {
-      for (std::size_t ox = 0; ox + occluder <= w; ox += occluder) {
-        Tensor occluded = base;
-        for (std::size_t ch = 0; ch < c; ++ch) {
-          for (std::size_t y = 0; y < occluder; ++y) {
-            for (std::size_t x = 0; x < occluder; ++x) {
-              occluded.at4(0, ch, oy + y, ox + x) = 0.5F;
-            }
-          }
-        }
-        Tensor probs = model.predict_proba(occluded);
-        const double drop =
-            base_probs.data()[static_cast<std::size_t>(pred)] -
-            probs.data()[static_cast<std::size_t>(pred)];
-        if (drop > best_drop) {
-          best_drop = drop;
-          best_y = oy;
-          best_x = ox;
-        }
+    for (std::size_t j = 0; j < cells.size(); ++j) {
+      const double drop = at_pred(base_probs, i) - at_pred(probs, j);
+      if (drop > best_drop) {
+        best_drop = drop;
+        best_y = cells[j].first;
+        best_x = cells[j].second;
       }
     }
 
     // Transplant the critical region onto held-out clean images.
-    const std::size_t m =
-        std::min(transplant_targets, clean_reference.size());
-    std::size_t fooled = 0;
+    Tensor hosts({m, c, h, w});
+    std::copy(clean_reference.images.data(),
+              clean_reference.images.data() + m * sample, hosts.data());
     for (std::size_t t = 0; t < m; ++t) {
-      Tensor host = single(clean_reference.images, t);
       for (std::size_t ch = 0; ch < c; ++ch) {
         for (std::size_t y = 0; y < occluder; ++y) {
-          for (std::size_t x = 0; x < occluder; ++x) {
-            host.at4(0, ch, best_y + y, best_x + x) =
-                inputs.data()[i * sample +
-                              (ch * h + best_y + y) * w + best_x + x];
+          for (std::size_t xx = 0; xx < occluder; ++xx) {
+            hosts.at4(t, ch, best_y + y, best_x + xx) =
+                x[(ch * h + best_y + y) * w + best_x + xx];
           }
         }
       }
-      Tensor probs = model.predict_proba(host);
-      if (argmax_row(probs.data(), k) == pred) ++fooled;
+    }
+    const Tensor host_probs = model.predict_proba(hosts);
+    std::size_t fooled = 0;
+    for (std::size_t t = 0; t < m; ++t) {
+      if (argmax_row(host_probs.data() + t * k, k) == pred) ++fooled;
     }
     scores[i] = static_cast<double>(fooled) / static_cast<double>(m);
   }
@@ -335,34 +352,36 @@ std::vector<double> cd_scores(nn::Model& model, const Tensor& inputs,
   const std::size_t h = inputs.dim(2);
   const std::size_t w = inputs.dim(3);
   const std::size_t k = model.num_classes();
+  const auto cells = grid_cells(h, w, occluder);
 
+  // All base predictions in one call, then one call per input for its
+  // masked copies; rows are independent, so no score moves.
+  const Tensor base_probs = model.predict_proba(inputs);
   std::vector<double> scores(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    Tensor base = single(inputs, i);
-    Tensor base_probs = model.predict_proba(base);
-    const int pred = argmax_row(base_probs.data(), k);
+    const int pred = argmax_row(base_probs.data() + i * k, k);
     // Count grid cells that individually suffice to keep the prediction
     // when everything else is grayed out; trigger samples need very few.
-    std::size_t sufficient = 0;
-    std::size_t cells = 0;
-    for (std::size_t oy = 0; oy + occluder <= h; oy += occluder) {
-      for (std::size_t ox = 0; ox + occluder <= w; ox += occluder) {
-        ++cells;
-        Tensor masked(base.shape(), 0.5F);
-        for (std::size_t ch = 0; ch < c; ++ch) {
-          for (std::size_t y = 0; y < occluder; ++y) {
-            for (std::size_t x = 0; x < occluder; ++x) {
-              masked.at4(0, ch, oy + y, ox + x) =
-                  base.at4(0, ch, oy + y, ox + x);
-            }
+    Tensor masked({cells.size(), c, h, w}, 0.5F);
+    for (std::size_t j = 0; j < cells.size(); ++j) {
+      const auto [oy, ox] = cells[j];
+      for (std::size_t ch = 0; ch < c; ++ch) {
+        for (std::size_t y = 0; y < occluder; ++y) {
+          for (std::size_t x = 0; x < occluder; ++x) {
+            masked.at4(j, ch, oy + y, ox + x) =
+                inputs.at4(i, ch, oy + y, ox + x);
           }
         }
-        Tensor probs = model.predict_proba(masked);
-        if (argmax_row(probs.data(), k) == pred) ++sufficient;
       }
     }
+    const Tensor probs = model.predict_proba(masked);
+    std::size_t sufficient = 0;
+    for (std::size_t j = 0; j < cells.size(); ++j) {
+      if (argmax_row(probs.data() + j * k, k) == pred) ++sufficient;
+    }
     // Small cognitive pattern => a single cell already carries the class.
-    scores[i] = static_cast<double>(sufficient) / static_cast<double>(cells);
+    scores[i] = static_cast<double>(sufficient) /
+                static_cast<double>(cells.size());
   }
   return scores;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "tensor/gemm.hpp"
 
@@ -27,9 +28,14 @@ Tensor SpatialSelfAttention::forward(const Tensor& x, bool /*train*/) {
   return run(x, acts_);
 }
 
-Tensor SpatialSelfAttention::infer(const Tensor& x) const {
+Lanes SpatialSelfAttention::infer(const Lanes& x) const {
+  if (x.shape().size() != 3 || x.dim(0) != channels_) {
+    throw std::invalid_argument(
+        "SpatialSelfAttention: chunk channels do not match");
+  }
   Activations acts;
-  return run(x, acts);
+  const Tensor y = run(x.unpack(), acts);
+  return Lanes::pack(y, 0, y.dim(0));
 }
 
 Tensor SpatialSelfAttention::run(const Tensor& x, Activations& acts) const {

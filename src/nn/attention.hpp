@@ -15,7 +15,9 @@ class SpatialSelfAttention final : public Layer {
   SpatialSelfAttention(std::size_t channels, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  /// Unpacks the chunk to rows, runs the row-major arithmetic of forward
+  /// and packs the result back.
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override {
     return {&wq_, &wk_, &wv_, &wo_};

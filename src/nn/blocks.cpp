@@ -37,18 +37,18 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   return relu_out_.forward(h, train);
 }
 
-Tensor ResidualBlock::infer(const Tensor& x) const {
-  Tensor h = conv1_.infer(x);
-  h = bn1_.infer(h);
-  h = relu1_.infer(h);
+Lanes ResidualBlock::infer(const Lanes& x) const {
+  Lanes h = conv1_.infer(x);
+  h = bn1_.infer(std::move(h));
+  h = relu1_.infer(std::move(h));
   h = conv2_.infer(h);
-  h = bn2_.infer(h);
+  h = bn2_.infer(std::move(h));
   if (proj_) {
     h.add(proj_bn_->infer(proj_->infer(x)));
   } else {
     h.add(x);
   }
-  return relu_out_.infer(h);
+  return relu_out_.infer(std::move(h));
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_out) {
@@ -111,14 +111,14 @@ Tensor DepthwiseSeparableBlock::forward(const Tensor& x, bool train) {
   return relu_out_.forward(h, train);
 }
 
-Tensor DepthwiseSeparableBlock::infer(const Tensor& x) const {
-  Tensor h = dw_.infer(x);
-  h = bn1_.infer(h);
-  h = relu1_.infer(h);
+Lanes DepthwiseSeparableBlock::infer(const Lanes& x) const {
+  Lanes h = dw_.infer(x);
+  h = bn1_.infer(std::move(h));
+  h = relu1_.infer(std::move(h));
   h = pw_.infer(h);
-  h = bn2_.infer(h);
+  h = bn2_.infer(std::move(h));
   if (has_skip_) h.add(x);
-  return relu_out_.infer(h);
+  return relu_out_.infer(std::move(h));
 }
 
 Tensor DepthwiseSeparableBlock::backward(const Tensor& grad_out) {

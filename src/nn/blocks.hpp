@@ -18,7 +18,7 @@ class ResidualBlock final : public Layer {
   ResidualBlock(const ResidualBlock& other);
 
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::vector<std::vector<float>*> state() override;
@@ -48,7 +48,7 @@ class DepthwiseSeparableBlock final : public Layer {
                           std::size_t stride, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::vector<std::vector<float>*> state() override;

@@ -5,21 +5,25 @@
 // gradient during backward.  Models are small and trained on CPU, so
 // clarity and testability win over generality.
 //
-// Threading: forward()/backward() cache state in the layer, so one thread
-// at a time drives that training path.  infer() writes nothing, so any
-// number of threads may call it at once, on the same instance.  Within one
-// call, large batch loops additionally shard over the pool with disjoint
-// outputs (see layers.cpp).
+// Two forward paths.  forward()/backward() is the training path over
+// row-major [N, ...] tensors: it caches state in the layer, so one thread at
+// a time drives it, and its large batch loops shard over the pool with
+// disjoint outputs (see layers.cpp).  infer() is the inference path over
+// one lane chunk (tensor/lanes.hpp: up to 16 rows, feature-major with the
+// row innermost): it writes nothing, so any number of threads may call it
+// at once, on the same instance.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "tensor/lanes.hpp"
 #include "tensor/tensor.hpp"
 
 namespace bprom::nn {
 
+using tensor::Lanes;
 using tensor::Tensor;
 
 /// A trainable tensor with its gradient accumulator.
@@ -44,10 +48,17 @@ class Layer {
   /// overload; this default just binds the argument as an lvalue.
   virtual Tensor forward(Tensor&& x, bool train) { return forward(x, train); }
 
-  /// Inference forward: returns exactly what forward(x, false) returns
-  /// and writes no member, so it is safe to call concurrently.  Nothing
-  /// may backward() through it.
-  [[nodiscard]] virtual Tensor infer(const Tensor& x) const = 0;
+  /// Inference forward over one lane chunk.  Row r of the result is, bit
+  /// for bit, row r of forward(X, false) for the batch X of the chunk's
+  /// rows: every output sums the same products in the same order, lane by
+  /// lane.  Unused lanes stay zero.  Writes no member, so it is safe to
+  /// call concurrently; nothing may backward() through it.
+  [[nodiscard]] virtual Lanes infer(const Lanes& x) const = 0;
+
+  /// Rvalue infer: chain drivers hand the chunk over by value so
+  /// elementwise layers (BatchNorm, ReLU, GELU, Flatten) can work in the
+  /// moved buffer.  This default just binds the argument as an lvalue.
+  [[nodiscard]] virtual Lanes infer(Lanes&& x) const { return infer(x); }
 
   /// Backward pass given dL/d(output); returns dL/d(input) and accumulates
   /// parameter gradients.  Must be called after a matching forward.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "tensor/gemm.hpp"
 #include "util/thread_pool.hpp"
@@ -12,6 +13,12 @@ namespace {
 
 float he_stddev(std::size_t fan_in) {
   return std::sqrt(2.0F / static_cast<float>(fan_in));
+}
+
+/// The tanh approximation of GELU, the one formula both GELU paths run.
+float gelu(float v) {
+  return 0.5F * v *
+         (1.0F + std::tanh(0.7978845608F * (v + 0.044715F * v * v * v)));
 }
 
 // Sharding threshold: below this many inner operations the pool dispatch
@@ -52,6 +59,7 @@ constexpr std::size_t shard_lo(std::size_t s, std::size_t shards,
   return s * n / shards;
 }
 
+using tensor::kLanes;
 using tensor::Trans;
 
 /// Reduce `shards` contiguous partial buffers of `len` floats with a
@@ -97,12 +105,8 @@ Linear::Linear(std::size_t in, std::size_t out, util::Rng& rng)
       bias_(Tensor({out})) {}
 
 Tensor Linear::forward(const Tensor& x, bool /*train*/) {
-  input_ = x;
-  return infer(x);
-}
-
-Tensor Linear::infer(const Tensor& x) const {
   assert(x.rank() == 2 && x.dim(1) == in_);
+  input_ = x;
   const std::size_t n = x.dim(0);
   Tensor y({n, out_});
   // y = b (broadcast per row), then y += x . W^T.  The kernel folds
@@ -116,6 +120,25 @@ Tensor Linear::infer(const Tensor& x) const {
   tensor::gemm(Trans::kNo, Trans::kYes, n, out_, in_, x.data(), in_,
                weight_.value.data(), in_, y.data(), out_,
                /*accumulate=*/true);
+  return y;
+}
+
+Lanes Linear::infer(const Lanes& x) const {
+  if (x.shape().size() != 1 || x.dim(0) != in_) {
+    throw std::invalid_argument("Linear: chunk width is not in_features");
+  }
+  // Y = W . X onto rows pre-filled with the bias, one lane per row: each
+  // output sums w * x in ascending input order per KC panel and folds the
+  // panels onto the bias, the additions of forward's x . W^T (a product
+  // rounds the same either way round).
+  Lanes y({out_}, x.rows());
+  for (std::size_t o = 0; o < out_; ++o) {
+    std::fill_n(y.data() + o * kLanes, kLanes, bias_.value[o]);
+  }
+  tensor::gemm(Trans::kNo, Trans::kNo, out_, kLanes, in_,
+               weight_.value.data(), in_, x.data(), kLanes, y.data(), kLanes,
+               /*accumulate=*/true);
+  y.clear_unused();
   return y;
 }
 
@@ -189,28 +212,11 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   // The im2col matrix backward reads is rebuilt into the persistent member
   // buffer, so the steady-state forward reuses one allocation across calls.
   tensor::im2col_into(x, geom_, cols_);
-  return apply(cols_, batch_, geom_);
-}
-
-Tensor Conv2d::infer(const Tensor& x) const {
-  assert(x.rank() == 4 && x.dim(1) == in_c_);
-  const tensor::ConvGeometry geom{in_c_, x.dim(2), x.dim(3),
-                                  kernel_, stride_, pad_};
-  // A per-call buffer, not a util::Scratch slot: the GEMMs below may
-  // re-enter the pool, and a task run on this thread meanwhile could claim
-  // the same slot.
-  Tensor cols;
-  tensor::im2col_into(x, geom, cols);
-  return apply(cols, x.dim(0), geom);
-}
-
-Tensor Conv2d::apply(const Tensor& cols, std::size_t batch,
-                     const tensor::ConvGeometry& geom) const {
-  const std::size_t oh = geom.out_h();
-  const std::size_t ow = geom.out_w();
+  const std::size_t oh = geom_.out_h();
+  const std::size_t ow = geom_.out_w();
   const std::size_t hw = oh * ow;
-  const std::size_t patch = geom.patch_size();
-  Tensor y({batch, out_c_, oh, ow});
+  const std::size_t patch = geom_.patch_size();
+  Tensor y({batch_, out_c_, oh, ow});
   const float* w = weight_.value.data();
   const float* b = bias_.value.data();
   // Per sample: y_b = W . cols_b on top of the broadcast bias, with cols_b
@@ -220,21 +226,32 @@ Tensor Conv2d::apply(const Tensor& cols, std::size_t batch,
   // size, and the kernel arithmetic is identical either way, so results are
   // bit-identical for any thread count.
   const bool shard_batch =
-      batch > 1 && batch * hw * out_c_ * patch >= kParallelOps;
+      batch_ > 1 && batch_ * hw * out_c_ * patch >= kParallelOps;
   const auto sample = [&](std::size_t bi) {
     float* yb = y.data() + bi * out_c_ * hw;
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       std::fill_n(yb + oc * hw, hw, b[oc]);
     }
     tensor::gemm(Trans::kNo, Trans::kNo, out_c_, hw, patch, w, patch,
-                 cols.data() + bi * patch * hw, hw, yb, hw,
+                 cols_.data() + bi * patch * hw, hw, yb, hw,
                  /*accumulate=*/true, /*allow_parallel=*/!shard_batch);
   };
   if (shard_batch) {
-    util::parallel_for(batch, sample);
+    util::parallel_for(batch_, sample);
   } else {
-    for (std::size_t bi = 0; bi < batch; ++bi) sample(bi);
+    for (std::size_t bi = 0; bi < batch_; ++bi) sample(bi);
   }
+  return y;
+}
+
+Lanes Conv2d::infer(const Lanes& x) const {
+  // The lane kernel refuses a chunk whose shape does not match.
+  const tensor::ConvGeometry geom{in_c_, x.dim(1), x.dim(2),
+                                  kernel_, stride_, pad_};
+  Lanes y({out_c_, geom.out_h(), geom.out_w()}, x.rows());
+  tensor::conv2d_lanes(x, geom, weight_.value.data(), bias_.value.data(),
+                       out_c_, y);
+  y.clear_unused();
   return y;
 }
 
@@ -315,12 +332,8 @@ DepthwiseConv2d::DepthwiseConv2d(std::size_t channels, std::size_t kernel,
       bias_(Tensor({channels})) {}
 
 Tensor DepthwiseConv2d::forward(const Tensor& x, bool /*train*/) {
-  input_ = x;
-  return infer(x);
-}
-
-Tensor DepthwiseConv2d::infer(const Tensor& x) const {
   assert(x.rank() == 4 && x.dim(1) == channels_);
+  input_ = x;
   const std::size_t n = x.dim(0);
   const tensor::ConvGeometry g{channels_, x.dim(2), x.dim(3),
                                kernel_, stride_, pad_};
@@ -360,6 +373,17 @@ Tensor DepthwiseConv2d::infer(const Tensor& x) const {
       }
     }
   });
+  return y;
+}
+
+Lanes DepthwiseConv2d::infer(const Lanes& x) const {
+  // The lane kernel refuses a chunk whose shape does not match.
+  const tensor::ConvGeometry geom{channels_, x.dim(1), x.dim(2),
+                                  kernel_, stride_, pad_};
+  Lanes y({channels_, geom.out_h(), geom.out_w()}, x.rows());
+  tensor::depthwise_lanes(x, geom, weight_.value.data(), bias_.value.data(),
+                          y);
+  y.clear_unused();
   return y;
 }
 
@@ -468,12 +492,33 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   }
   batch_inv_std_ = inv_std(var);
   normalized_.resize(x.shape());
-  return normalize(x, batch_mean_, batch_inv_std_, &normalized_);
+  return normalize(x, batch_mean_, batch_inv_std_, normalized_);
 }
 
-Tensor BatchNorm2d::infer(const Tensor& x) const {
-  assert(x.rank() == 4 && x.dim(1) == channels_);
-  return normalize(x, running_mean_, inv_std(running_var_), nullptr);
+Lanes BatchNorm2d::infer(const Lanes& x) const { return infer(Lanes(x)); }
+
+Lanes BatchNorm2d::infer(Lanes&& x) const {
+  Lanes y = std::move(x);
+  if (y.shape().empty() || y.dim(0) != channels_) {
+    throw std::invalid_argument("BatchNorm2d: chunk channels do not match");
+  }
+  // normalize()'s per-element arithmetic over every lane of each channel,
+  // with the running statistics.
+  const std::vector<float> is = inv_std(running_var_);
+  const std::size_t len = y.features() / channels_ * kLanes;
+  for (std::size_t c = 0; c < channels_; ++c) {
+    float* p = y.data() + c * len;
+    const float m = running_mean_[c];
+    const float s = is[c];
+    const float g = gamma_.value[c];
+    const float bt = beta_.value[c];
+    for (std::size_t i = 0; i < len; ++i) {
+      const float v = (p[i] - m) * s;
+      p[i] = g * v + bt;
+    }
+  }
+  y.clear_unused();
+  return y;
 }
 
 std::vector<float> BatchNorm2d::inv_std(const std::vector<float>& var) const {
@@ -486,7 +531,7 @@ std::vector<float> BatchNorm2d::inv_std(const std::vector<float>& var) const {
 
 Tensor BatchNorm2d::normalize(const Tensor& x, const std::vector<float>& mean,
                               const std::vector<float>& inv_std,
-                              Tensor* normalized) const {
+                              Tensor& normalized) const {
   const std::size_t n = x.dim(0);
   const std::size_t hw = x.dim(2) * x.dim(3);
   Tensor y(x.shape());
@@ -494,7 +539,7 @@ Tensor BatchNorm2d::normalize(const Tensor& x, const std::vector<float>& mean,
     for (std::size_t c = 0; c < channels_; ++c) {
       const std::size_t at = (b * channels_ + c) * hw;
       const float* px = x.data() + at;
-      float* pn = normalized != nullptr ? normalized->data() + at : nullptr;
+      float* pn = normalized.data() + at;
       float* py = y.data() + at;
       const float m = mean[c];
       const float is = inv_std[c];
@@ -502,7 +547,7 @@ Tensor BatchNorm2d::normalize(const Tensor& x, const std::vector<float>& mean,
       const float bt = beta_.value[c];
       for (std::size_t i = 0; i < hw; ++i) {
         const float v = (px[i] - m) * is;
-        if (pn != nullptr) pn[i] = v;
+        pn[i] = v;
         py[i] = g * v + bt;
       }
     }
@@ -558,17 +603,21 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
 
 Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
   mask_.resize(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    mask_[i] = x[i] > 0.0F ? 1.0F : 0.0F;
-  }
-  return infer(x);
-}
-
-Tensor ReLU::infer(const Tensor& x) const {
   Tensor y(x.shape());
   for (std::size_t i = 0; i < x.size(); ++i) {
+    mask_[i] = x[i] > 0.0F ? 1.0F : 0.0F;
     y[i] = x[i] > 0.0F ? x[i] : 0.0F;
   }
+  return y;
+}
+
+Lanes ReLU::infer(const Lanes& x) const { return infer(Lanes(x)); }
+
+Lanes ReLU::infer(Lanes&& x) const {
+  Lanes y = std::move(x);
+  float* p = y.data();
+  const std::size_t len = y.features() * kLanes;
+  for (std::size_t i = 0; i < len; ++i) p[i] = p[i] > 0.0F ? p[i] : 0.0F;
   return y;
 }
 
@@ -584,15 +633,23 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 
 Tensor Gelu::forward(const Tensor& x, bool /*train*/) {
   input_ = x;
-  return infer(x);
+  Tensor y(x.shape());
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = gelu(x[i]);
+  return y;
 }
 
-Tensor Gelu::infer(const Tensor& x) const {
-  Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float v = x[i];
-    y[i] = 0.5F * v *
-           (1.0F + std::tanh(0.7978845608F * (v + 0.044715F * v * v * v)));
+Lanes Gelu::infer(const Lanes& x) const { return infer(Lanes(x)); }
+
+Lanes Gelu::infer(Lanes&& x) const {
+  // Used lanes only: unused ones hold 0, and gelu(0) is 0.
+  Lanes y = std::move(x);
+  float* p = y.data();
+  const std::size_t features = y.features();
+  const std::size_t rows = y.rows();
+  for (std::size_t f = 0; f < features; ++f) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      p[f * kLanes + r] = gelu(p[f * kLanes + r]);
+    }
   }
   return y;
 }
@@ -613,12 +670,8 @@ Tensor Gelu::backward(const Tensor& grad_out) {
 // --------------------------------------------------------- GlobalAvgPool
 
 Tensor GlobalAvgPool::forward(const Tensor& x, bool /*train*/) {
-  in_shape_ = x.shape();
-  return infer(x);
-}
-
-Tensor GlobalAvgPool::infer(const Tensor& x) const {
   assert(x.rank() == 4);
+  in_shape_ = x.shape();
   const std::size_t n = x.dim(0);
   const std::size_t c = x.dim(1);
   const std::size_t hw = x.dim(2) * x.dim(3);
@@ -632,6 +685,29 @@ Tensor GlobalAvgPool::infer(const Tensor& x) const {
       y.at2(b, ch) = acc / static_cast<float>(hw);
     }
   });
+  return y;
+}
+
+Lanes GlobalAvgPool::infer(const Lanes& x) const {
+  if (x.shape().size() != 3) {
+    throw std::invalid_argument("GlobalAvgPool: chunk is not [C, H, W]");
+  }
+  const std::size_t c = x.dim(0);
+  const std::size_t hw = x.dim(1) * x.dim(2);
+  Lanes y({c}, x.rows());
+  for (std::size_t ch = 0; ch < c; ++ch) {
+    const float* px = x.data() + ch * hw * kLanes;
+    float acc[kLanes] = {};
+    for (std::size_t i = 0; i < hw; ++i) {
+      for (std::size_t r = 0; r < kLanes; ++r) {
+        // ordered: ascending pixel per lane, as forward's per-row sum.
+        acc[r] += px[i * kLanes + r];
+      }
+    }
+    for (std::size_t r = 0; r < kLanes; ++r) {
+      y.data()[ch * kLanes + r] = acc[r] / static_cast<float>(hw);
+    }
+  }
   return y;
 }
 
@@ -664,9 +740,13 @@ Tensor Flatten::forward(Tensor&& x, bool /*train*/) {
   return y;
 }
 
-Tensor Flatten::infer(const Tensor& x) const {
-  Tensor y = x;
-  y.reshape({x.dim(0), x.size() / x.dim(0)});
+Lanes Flatten::infer(const Lanes& x) const { return infer(Lanes(x)); }
+
+Lanes Flatten::infer(Lanes&& x) const {
+  // Feature f of a [C, H, W] row is feature f of the flat row: the lane
+  // layout is already the flat one.
+  Lanes y = std::move(x);
+  y.reshape({y.features()});
   return y;
 }
 

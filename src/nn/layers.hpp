@@ -16,7 +16,7 @@ class Linear final : public Layer {
   Linear(std::size_t in, std::size_t out, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -46,7 +46,7 @@ class Conv2d final : public Layer {
          std::size_t stride, std::size_t pad, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -55,11 +55,6 @@ class Conv2d final : public Layer {
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
  private:
-  /// y = W . cols + b for the im2col matrix `cols` of a `batch`-sample
-  /// input with geometry `geom`: the GEMM both forward paths share.
-  [[nodiscard]] Tensor apply(const Tensor& cols, std::size_t batch,
-                             const tensor::ConvGeometry& geom) const;
-
   std::size_t in_c_;
   std::size_t out_c_;
   std::size_t kernel_;
@@ -83,7 +78,7 @@ class DepthwiseConv2d final : public Layer {
                   std::size_t pad, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -107,7 +102,8 @@ class BatchNorm2d final : public Layer {
                        float eps = 1e-5F);
 
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
+  [[nodiscard]] Lanes infer(Lanes&& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }
   std::vector<std::vector<float>*> state() override {
@@ -121,12 +117,12 @@ class BatchNorm2d final : public Layer {
  private:
   /// 1 / sqrt(var + eps) per channel.
   [[nodiscard]] std::vector<float> inv_std(const std::vector<float>& var) const;
-  /// y = gamma * (x - mean) * inv_std + beta per channel.  A non-null
-  /// `normalized` also receives (x - mean) * inv_std, which backward reads.
+  /// y = gamma * (x - mean) * inv_std + beta per channel; `normalized`
+  /// also receives (x - mean) * inv_std, which backward reads.
   [[nodiscard]] Tensor normalize(const Tensor& x,
                                  const std::vector<float>& mean,
                                  const std::vector<float>& inv_std,
-                                 Tensor* normalized) const;
+                                 Tensor& normalized) const;
 
   std::size_t channels_;
   float momentum_;
@@ -145,7 +141,8 @@ class BatchNorm2d final : public Layer {
 class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
+  [[nodiscard]] Lanes infer(Lanes&& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<ReLU>(*this);
@@ -159,7 +156,8 @@ class ReLU final : public Layer {
 class Gelu final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
+  [[nodiscard]] Lanes infer(Lanes&& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Gelu>(*this);
@@ -173,7 +171,7 @@ class Gelu final : public Layer {
 class GlobalAvgPool final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<GlobalAvgPool>(*this);
@@ -188,7 +186,8 @@ class Flatten final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
   Tensor forward(Tensor&& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
+  [[nodiscard]] Lanes infer(Lanes&& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   Tensor backward(Tensor&& grad_out) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {

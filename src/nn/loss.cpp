@@ -1,5 +1,6 @@
 #include "nn/loss.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -7,23 +8,24 @@ namespace bprom::nn {
 
 Tensor softmax(const Tensor& logits) {
   assert(logits.rank() == 2);
-  const std::size_t n = logits.dim(0);
-  const std::size_t k = logits.dim(1);
-  Tensor probs(logits.shape());
+  Tensor probs = logits;
+  softmax_rows(probs.data(), logits.dim(0), logits.dim(1));
+  return probs;
+}
+
+void softmax_rows(float* rows, std::size_t n, std::size_t k) {
   for (std::size_t i = 0; i < n; ++i) {
-    const float* row = logits.data() + i * k;
-    float* out = probs.data() + i * k;
+    float* row = rows + i * k;
     float maxv = row[0];
     for (std::size_t j = 1; j < k; ++j) maxv = std::max(maxv, row[j]);
     float denom = 0.0F;
     // ordered: ascending class index within the row.
     for (std::size_t j = 0; j < k; ++j) {
-      out[j] = std::exp(row[j] - maxv);
-      denom += out[j];
+      row[j] = std::exp(row[j] - maxv);
+      denom += row[j];
     }
-    for (std::size_t j = 0; j < k; ++j) out[j] /= denom;
+    for (std::size_t j = 0; j < k; ++j) row[j] /= denom;
   }
-  return probs;
 }
 
 LossResult cross_entropy(const Tensor& logits,

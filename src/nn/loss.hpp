@@ -12,6 +12,9 @@ using tensor::Tensor;
 /// Row-wise softmax of logits [N, K].
 Tensor softmax(const Tensor& logits);
 
+/// softmax() in place over `n` rows of `k` floats.
+void softmax_rows(float* rows, std::size_t n, std::size_t k);
+
 struct LossResult {
   double loss = 0.0;          // mean cross-entropy over the batch
   Tensor dlogits;             // gradient wrt logits (already / N)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "nn/loss.hpp"
 #include "util/thread_pool.hpp"
@@ -9,11 +11,32 @@
 namespace bprom::nn {
 namespace {
 
-// Rows per inference task.  A 48-row query falls below every per-layer
-// sharding gate, so unchunked it runs on one thread; as three chunks it
-// runs on three.  The size is a constant, never derived from the pool
-// size, so the work split is the same on every host.
-constexpr std::size_t kInferChunkRows = 16;
+// Rows per inference task: one lane chunk.  A 48-row query runs as three
+// chunks on up to three threads.  The size is a constant, never derived
+// from the pool size, so the work split is the same on every host.
+constexpr std::size_t kInferChunkRows = tensor::kLanes;
+
+/// Throws std::invalid_argument unless `images` is [N, C, H, W] of `input`.
+void check_batch(const Tensor& images, const ImageShape& input) {
+  const std::vector<std::size_t>& shape = images.shape();
+  if (shape.size() == 4 && shape[1] == input.channels &&
+      shape[2] == input.height && shape[3] == input.width) {
+    return;
+  }
+  std::string what = "Model: batch [";
+  for (std::size_t i = 0; i < shape.size(); ++i) {
+    if (i > 0) what += ", ";
+    what += std::to_string(shape[i]);
+  }
+  what += "] is not [N, ";
+  what += std::to_string(input.channels);
+  what += ", ";
+  what += std::to_string(input.height);
+  what += ", ";
+  what += std::to_string(input.width);
+  what += "]";
+  throw std::invalid_argument(what);
+}
 
 }  // namespace
 
@@ -33,36 +56,30 @@ Tensor Model::logits(const Tensor& images, bool train) {
 }
 
 Tensor Model::infer_rows(const Tensor& images, Stage stage) const {
-  const auto run = [&](const Tensor& x) {
-    Tensor h = backbone_->infer(x);
-    if (stage == Stage::kFeatures) return h;
-    h = head_->infer(h);
-    if (stage == Stage::kProbabilities) return softmax(h);
-    return h;
-  };
+  check_batch(images, input_);
   const std::size_t n = images.dim(0);
-  if (n <= kInferChunkRows) return run(images);
-
-  // Each chunk copies its input rows out, runs the whole stack on them and
-  // writes its output rows into place: chunks own disjoint rows, so they
-  // run as tasks of one parallel_for with nothing shared but `out`.
   const std::size_t width =
       stage == Stage::kFeatures ? feature_dim() : classes_;
-  const std::size_t sample = images.size() / n;
   Tensor out({n, width});
-  util::parallel_for(
-      (n + kInferChunkRows - 1) / kInferChunkRows, [&](std::size_t c) {
-        const std::size_t lo = c * kInferChunkRows;
-        const std::size_t hi = std::min(lo + kInferChunkRows, n);
-        std::vector<std::size_t> shape = images.shape();
-        shape[0] = hi - lo;
-        Tensor x(std::move(shape));
-        std::copy(images.data() + lo * sample, images.data() + hi * sample,
-                  x.data());
-        const Tensor y = run(x);
-        assert(y.size() == (hi - lo) * width);
-        std::copy(y.data(), y.data() + y.size(), out.data() + lo * width);
-      });
+  // Each chunk packs its input rows, runs the whole stack on them and
+  // unpacks its output rows into place: chunks own disjoint rows, so they
+  // run as tasks of one parallel_for with nothing shared but `out`.
+  const auto run_chunk = [&](std::size_t c) {
+    const std::size_t lo = c * kInferChunkRows;
+    const std::size_t hi = std::min(lo + kInferChunkRows, n);
+    Lanes h = backbone_->infer(Lanes::pack(images, lo, hi));
+    if (stage != Stage::kFeatures) h = head_->infer(h);
+    assert(h.features() == width);
+    float* rows = out.data() + lo * width;
+    h.unpack(rows);
+    if (stage == Stage::kProbabilities) softmax_rows(rows, hi - lo, width);
+  };
+  const std::size_t chunks = (n + kInferChunkRows - 1) / kInferChunkRows;
+  if (chunks == 1) {
+    run_chunk(0);
+  } else if (chunks > 1) {
+    util::parallel_for(chunks, run_chunk);
+  }
   return out;
 }
 
@@ -91,8 +108,16 @@ std::vector<int> Model::predict(const Tensor& images) const {
 
 double Model::accuracy(const Tensor& images,
                        const std::vector<int>& labels) const {
+  check_batch(images, input_);
+  if (labels.size() != images.dim(0)) {
+    std::string what = "Model::accuracy: ";
+    what += std::to_string(labels.size());
+    what += " labels for ";
+    what += std::to_string(images.dim(0));
+    what += " images";
+    throw std::invalid_argument(what);
+  }
   const auto preds = predict(images);
-  assert(preds.size() == labels.size());
   std::size_t hits = 0;
   for (std::size_t i = 0; i < preds.size(); ++i) {
     if (preds[i] == labels[i]) ++hits;

@@ -41,12 +41,16 @@ class Model {
 
   // The eval-only methods below run Layer::infer: they write nothing, so
   // any number of threads may call them at once.  Each splits the batch
-  // into fixed 16-row chunks and carries every chunk through the whole
-  // layer stack as one task of a single parallel_for (a batch of at most
-  // one chunk runs inline).  Every layer computes an inference row from
-  // that row alone, so the result equals the full-batch eval forward
-  // logits(images, false) bit for bit, for any chunk boundaries and any
-  // thread count.
+  // into fixed 16-row chunks, packs every chunk into the lane layout
+  // (tensor/lanes.hpp) and carries it through the whole layer stack as one
+  // task of a single parallel_for (a batch of at most one chunk runs
+  // inline); only the features or logits are unpacked back to rows.  Every
+  // layer computes an inference row from that row alone, with the products
+  // and summation order of its row-major forward, so the result equals the
+  // full-batch eval forward logits(images, false) bit for bit, for any
+  // chunk boundaries and any thread count.  Each refuses, with
+  // std::invalid_argument and in every build, a batch that is not
+  // [N, C, H, W] of input_shape().
 
   /// Penultimate features [N, D] (backbone output, eval mode).
   Tensor features(const Tensor& images) const;
@@ -57,7 +61,8 @@ class Model {
   /// Argmax predictions.
   std::vector<int> predict(const Tensor& images) const;
 
-  /// Fraction of correct argmax predictions.
+  /// Fraction of correct argmax predictions.  Refuses a label vector whose
+  /// length is not the batch size (std::invalid_argument).
   double accuracy(const Tensor& images, const std::vector<int>& labels) const;
 
   /// Backprop dL/dlogits through head and backbone; returns dL/dinput.

@@ -14,11 +14,19 @@ Tensor Sequential::forward(Tensor&& x, bool train) {
   return h;
 }
 
-Tensor Sequential::infer(const Tensor& x) const {
+Lanes Sequential::infer(const Lanes& x) const {
   if (layers_.empty()) return x;
-  // Each layer returns a fresh tensor, so the chain never copies `x`.
-  Tensor h = layers_.front()->infer(x);
-  for (std::size_t i = 1; i < layers_.size(); ++i) h = layers_[i]->infer(h);
+  Lanes h = layers_.front()->infer(x);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    h = layers_[i]->infer(std::move(h));
+  }
+  return h;
+}
+
+Lanes Sequential::infer(Lanes&& x) const {
+  // The chunk moves down the chain, so elementwise layers work in place.
+  Lanes h = std::move(x);
+  for (const auto& layer : layers_) h = layer->infer(std::move(h));
   return h;
 }
 

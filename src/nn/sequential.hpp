@@ -26,7 +26,8 @@ class Sequential final : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor forward(Tensor&& x, bool train) override;
-  [[nodiscard]] Tensor infer(const Tensor& x) const override;
+  [[nodiscard]] Lanes infer(const Lanes& x) const override;
+  [[nodiscard]] Lanes infer(Lanes&& x) const override;
   Tensor backward(const Tensor& grad_out) override;
   Tensor backward(Tensor&& grad_out) override;
   std::vector<Parameter*> parameters() override;

@@ -145,10 +145,10 @@ namespace detail {
 std::span<const GemmVariant> gemm_variants() {
   static const GemmVariant kVariants[] = {
       {"baseline", kBaselineNrF32, kBaselineNrF64, true, gemm_tile_baseline,
-       gemm_tile_baseline},
+       gemm_tile_baseline, conv_lanes_baseline, depthwise_lanes_baseline},
 #if defined(__x86_64__)
       {"avx2", kAvx2NrF32, kAvx2NrF64, host_has_avx2(), gemm_tile_avx2,
-       gemm_tile_avx2},
+       gemm_tile_avx2, conv_lanes_avx2, depthwise_lanes_avx2},
 #endif
   };
   return kVariants;

@@ -1,20 +1,27 @@
-// Private to the GEMM, its tests and bench_gemm: the tile variants compiled
-// into this build and the gemm entry that runs a given one.  This is a
-// test seam, not a setting — gemm() always runs gemm_variant(), which CPUID
-// alone decides.
+// Private to the GEMM, the lane convolutions, their tests and bench_gemm:
+// the kernel variants compiled into this build and the entries that run a
+// given one.  This is a test seam, not a setting — gemm(), conv2d_lanes()
+// and depthwise_lanes() always run gemm_variant(), which CPUID alone
+// decides.
 //
-// A variant is one instantiation of tensor/gemm_tile.hpp: a function that
+// A variant is one instantiation of tensor/gemm_tile.hpp, a function that
 // computes a whole macro-tile (every KC panel, packing included) into
-// buffers the caller passes in.  tensor/gemm.cpp keeps the tile grid, the
-// pool, the scratch arena and the zero-fill of C, so a variant differs
-// from another only in NR and in the ISA its translation unit was compiled
-// for.
+// buffers the caller passes in, plus one of tensor/lane_tile.hpp, the two
+// lane convolutions.  tensor/gemm.cpp keeps the tile grid, the pool, the
+// scratch arena and the zero-fill of C, and tensor/lane_conv.cpp the shape
+// checks, so a variant differs from another only in its register blocking
+// and in the ISA its translation unit was compiled for.
 #pragma once
 
 #include <cstddef>
 #include <span>
 
 #include "tensor/gemm.hpp"
+
+namespace bprom::tensor {
+class Lanes;
+struct ConvGeometry;
+}  // namespace bprom::tensor
 
 namespace bprom::tensor::detail {
 
@@ -49,6 +56,28 @@ inline constexpr std::size_t kAvx2NrF64 = 8;
 template <typename T>
 using GemmTileFn = void (*)(const GemmTileArgs<T>&);
 
+/// One lane convolution of one chunk (tensor/lane_tile.hpp): x, per-row
+/// shape [in_c, in_h, in_w], into y, per-row shape [out_c, out_h, out_w],
+/// both kLanes floats per feature.  Conv2d weights are [out_c, in_c * k * k];
+/// a depthwise convolution has out_c == in_c and weights [in_c, k * k].
+struct LaneConvArgs {
+  const float* x;
+  const float* weight;
+  const float* bias;
+  float* y;
+  std::size_t in_c;
+  std::size_t in_h;
+  std::size_t in_w;
+  std::size_t out_c;
+  std::size_t out_h;
+  std::size_t out_w;
+  std::size_t kernel;
+  std::size_t stride;
+  std::size_t pad;
+};
+
+using LaneConvFn = void (*)(const LaneConvArgs&);
+
 struct GemmVariant {
   const char* name;         ///< "baseline", "avx2"
   std::size_t nr_f32;       ///< register-tile width, floats
@@ -56,6 +85,8 @@ struct GemmVariant {
   bool supported;           ///< the host CPU can run it
   GemmTileFn<float> tile_f32;
   GemmTileFn<double> tile_f64;
+  LaneConvFn conv_lanes;       ///< Conv2d over a lane chunk
+  LaneConvFn depthwise_lanes;  ///< DepthwiseConv2d over a lane chunk
 };
 
 /// Every variant compiled into this build, baseline first.
@@ -75,11 +106,25 @@ void gemm_with(const GemmVariant& variant, Trans ta, Trans tb, std::size_t m,
                std::size_t lda, const double* b, std::size_t ldb, double* c,
                std::size_t ldc, bool accumulate, bool allow_parallel = true);
 
+/// conv2d_lanes() and depthwise_lanes() on the given variant.
+void conv2d_lanes_with(const GemmVariant& variant, const Lanes& x,
+                       const ConvGeometry& g, const float* weight,
+                       const float* bias, std::size_t out_c, Lanes& y);
+void depthwise_lanes_with(const GemmVariant& variant, const Lanes& x,
+                          const ConvGeometry& g, const float* weight,
+                          const float* bias, Lanes& y);
+
+/// The baseline lane convolutions (tensor/lane_conv.cpp).
+void conv_lanes_baseline(const LaneConvArgs& args);
+void depthwise_lanes_baseline(const LaneConvArgs& args);
+
 #if defined(__x86_64__)
-/// The AVX2 tile (tensor/gemm_avx2.cpp, compiled with -mavx2).  Run it only
-/// on a host whose CPUID reports AVX2.
+/// The AVX2 tile and lane convolutions (tensor/gemm_avx2.cpp, compiled with
+/// -mavx2).  Run them only on a host whose CPUID reports AVX2.
 void gemm_tile_avx2(const GemmTileArgs<float>& args);
 void gemm_tile_avx2(const GemmTileArgs<double>& args);
+void conv_lanes_avx2(const LaneConvArgs& args);
+void depthwise_lanes_avx2(const LaneConvArgs& args);
 #endif
 
 }  // namespace bprom::tensor::detail

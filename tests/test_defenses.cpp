@@ -1,9 +1,14 @@
 // Baseline defense sanity: each defense beats chance on the attack class it
 #include <cmath>
 // is designed for, on a genuinely backdoored model.
+#include <string>
+#include <vector>
 #include <gtest/gtest.h>
+#include "attacks/triggers.hpp"
 #include "core/experiment.hpp"
+#include "data/ops.hpp"
 #include "defenses/evaluate.hpp"
+#include "defenses/input_level.hpp"
 #include "defenses/mntd.hpp"
 #include "defenses/model_level.hpp"
 namespace bprom {
@@ -55,6 +60,65 @@ INSTANTIATE_TEST_SUITE_P(
                       defenses::DefenseKind::kFrequency,
                       defenses::DefenseKind::kScaleUp,
                       defenses::DefenseKind::kTed));
+
+std::string listing(const std::vector<double>& scores) {
+  std::string out = "{";
+  for (const double s : scores) {
+    out += std::to_string(s);
+    out += ", ";
+  }
+  out += "}";
+  return out;
+}
+
+// SentiNet and CD score every occlusion, mask and transplant of an input.
+// Their scores on 8 clean and 8 triggered test images, for the backdoored
+// and the clean model, are pinned to the values these functions returned
+// when every such query was a one-row call, so grouping the queries into
+// batches cannot move a score or a strict `>` tie-break.
+TEST(Defenses, SentiNetAndCdScoresArePinned) {
+  auto& f = fixture();
+  auto atk = attacks::AttackConfig::defaults(attacks::AttackKind::kBadNets, 0);
+  atk.seed = f.bd.attack.seed;
+  std::vector<std::size_t> benign_idx;
+  std::vector<std::size_t> trigger_idx;
+  std::vector<std::size_t> reference_idx;
+  for (std::size_t i = 0; i < 8; ++i) {
+    benign_idx.push_back(i);
+    trigger_idx.push_back(8 + i);
+    reference_idx.push_back(100 + i);
+  }
+  nn::LabeledData triggered = data::subset(f.src.test, trigger_idx);
+  const attacks::TriggerEngine engine(atk, f.bd.model->input_shape());
+  engine.apply_all(triggered.images);
+  const nn::LabeledData mixed =
+      data::concat(data::subset(f.src.test, benign_idx), triggered);
+  const nn::LabeledData reference = data::subset(f.src.test, reference_idx);
+
+  struct Pinned {
+    nn::Model* model;
+    std::vector<double> sentinet;
+    std::vector<double> cd;
+  };
+  const Pinned pinned[] = {
+      {f.bd.model.get(),
+       {0.125, 0.25, 0.25, 0.25, 0, 0.125, 0.25, 0.125, 1, 1, 1, 1, 1, 1, 1,
+        1},
+       {0, 0, 0, 0, 0, 0, 0, 0, 0.0625, 0.0625, 0.0625, 0.0625, 0.0625,
+        0.0625, 0.0625, 0.0625}},
+      {f.cln.model.get(),
+       {0.125, 0.375, 0.125, 0.125, 0, 0.25, 0, 0.125, 0, 0.125, 0, 0, 0,
+        0.125, 0.125, 0.125},
+       {0, 0.0625, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+  };
+  for (const Pinned& p : pinned) {
+    const std::vector<double> sentinet =
+        defenses::sentinet_scores(*p.model, mixed.images, reference);
+    const std::vector<double> cd = defenses::cd_scores(*p.model, mixed.images);
+    EXPECT_EQ(sentinet, p.sentinet) << listing(sentinet);
+    EXPECT_EQ(cd, p.cd) << listing(cd);
+  }
+}
 
 TEST(Defenses, FrequencyDetectsPatchNotModelFree) {
   // Frequency statistic is model-free: high-frequency patch energy.

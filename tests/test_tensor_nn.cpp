@@ -12,7 +12,9 @@
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_variant.hpp"
 #include "tensor/im2col.hpp"
+#include "tensor/lanes.hpp"
 #include "util/thread_pool.hpp"
 namespace bprom::nn {
 namespace {
@@ -110,6 +112,48 @@ void randomize(Parameter& p, util::Rng& rng) {
   p.value = Tensor::randn(p.value.shape(), rng);
 }
 
+using tensor::kLanes;
+
+/// Runs `layer` over `x` [N, ...] the way Model does: lane chunks of up to
+/// kLanes rows, unpacked back to rows.
+Tensor lane_infer(const Layer& layer, const Tensor& x) {
+  const std::size_t n = x.dim(0);
+  std::vector<float> out;
+  std::vector<std::size_t> row_shape;
+  for (std::size_t lo = 0; lo < n; lo += kLanes) {
+    const Lanes y = layer.infer(Lanes::pack(x, lo, std::min(lo + kLanes, n)));
+    const Tensor rows = y.unpack();
+    out.insert(out.end(), rows.vec().begin(), rows.vec().end());
+    row_shape = y.shape();
+  }
+  row_shape.insert(row_shape.begin(), n);
+  Tensor t(row_shape);
+  t.vec() = out;
+  return t;
+}
+
+/// True when lanes [rows(), kLanes) of every feature are +0.
+bool unused_lanes_zero(const Lanes& y) {
+  for (std::size_t f = 0; f < y.features(); ++f) {
+    for (std::size_t r = y.rows(); r < kLanes; ++r) {
+      const float v = y.data()[f * kLanes + r];
+      if (v != 0.0F || std::signbit(v)) return false;
+    }
+  }
+  return true;
+}
+
+/// Lane chunks run through a kernel entry of one variant, unpacked to rows.
+template <typename Kernel>
+std::vector<float> lane_kernel_rows(const Tensor& x,
+                                    std::vector<std::size_t> out_shape,
+                                    const Kernel& kernel) {
+  const Lanes in = Lanes::pack(x, 0, x.dim(0));
+  Lanes y(std::move(out_shape), in.rows());
+  kernel(in, y);
+  return y.unpack().vec();
+}
+
 /// Conv2d as a direct loop with the GEMM's summation grouping: per output,
 /// w * x in (c, ky, kx) order with padding taps as w * 0, each kGemmKc
 /// panel summed from 0 and folded onto the bias in ascending order.
@@ -186,28 +230,126 @@ std::vector<float> depthwise_reference(const Tensor& x, const Tensor& weight,
   return y;
 }
 
+// The training forward (im2col GEMM), the lane infer at 1, 5 and 16 rows
+// and every lane kernel variant this host can run all match the direct
+// loops bit for bit, and the lane infer leaves its unused lanes zero.
 TEST(ConvForward, MatchesDirectLoopBitwise) {
   util::Rng rng(21);
   for (const ConvCase& cc : kConvCases) {
-    SCOPED_TRACE(::testing::Message()
-                 << "in_c " << cc.in_c << " k " << cc.kernel << " s "
-                 << cc.stride << " pad " << cc.pad << " " << cc.h << "x"
-                 << cc.w);
-    const tensor::ConvGeometry g{cc.in_c, cc.h, cc.w, cc.kernel, cc.stride,
-                                 cc.pad};
-    Tensor x = Tensor::randn({2, cc.in_c, cc.h, cc.w}, rng);
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{5}, kLanes}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "in_c " << cc.in_c << " k " << cc.kernel << " s "
+                   << cc.stride << " pad " << cc.pad << " " << cc.h << "x"
+                   << cc.w << ", " << rows << " rows");
+      const tensor::ConvGeometry g{cc.in_c, cc.h, cc.w, cc.kernel, cc.stride,
+                                   cc.pad};
+      Tensor x = Tensor::randn({rows, cc.in_c, cc.h, cc.w}, rng);
 
-    Conv2d conv(cc.in_c, cc.out_c, cc.kernel, cc.stride, cc.pad, rng);
-    std::vector<Parameter*> cp = conv.parameters();
-    randomize(*cp[1], rng);
-    EXPECT_EQ(conv.forward(x, false).vec(),
-              conv2d_reference(x, cp[0]->value, cp[1]->value, g, cc.out_c));
+      Conv2d conv(cc.in_c, cc.out_c, cc.kernel, cc.stride, cc.pad, rng);
+      std::vector<Parameter*> cp = conv.parameters();
+      randomize(*cp[1], rng);
+      const std::vector<float> want =
+          conv2d_reference(x, cp[0]->value, cp[1]->value, g, cc.out_c);
+      EXPECT_EQ(conv.forward(x, false).vec(), want);
+      EXPECT_EQ(lane_infer(conv, x).vec(), want);
+      EXPECT_TRUE(unused_lanes_zero(conv.infer(Lanes::pack(x, 0, rows))));
 
-    DepthwiseConv2d dw(cc.in_c, cc.kernel, cc.stride, cc.pad, rng);
-    std::vector<Parameter*> dp = dw.parameters();
-    randomize(*dp[1], rng);
-    EXPECT_EQ(dw.forward(x, false).vec(),
-              depthwise_reference(x, dp[0]->value, dp[1]->value, g));
+      DepthwiseConv2d dw(cc.in_c, cc.kernel, cc.stride, cc.pad, rng);
+      std::vector<Parameter*> dp = dw.parameters();
+      randomize(*dp[1], rng);
+      const std::vector<float> want_dw =
+          depthwise_reference(x, dp[0]->value, dp[1]->value, g);
+      EXPECT_EQ(dw.forward(x, false).vec(), want_dw);
+      EXPECT_EQ(lane_infer(dw, x).vec(), want_dw);
+      EXPECT_TRUE(unused_lanes_zero(dw.infer(Lanes::pack(x, 0, rows))));
+
+      for (const auto& variant : tensor::detail::gemm_variants()) {
+        if (!variant.supported) continue;
+        SCOPED_TRACE(variant.name);
+        EXPECT_EQ(lane_kernel_rows(x, {cc.out_c, g.out_h(), g.out_w()},
+                                   [&](const Lanes& in, Lanes& y) {
+                                     tensor::detail::conv2d_lanes_with(
+                                         variant, in, g, cp[0]->value.data(),
+                                         cp[1]->value.data(), cc.out_c, y);
+                                   }),
+                  want);
+        EXPECT_EQ(lane_kernel_rows(x, {cc.in_c, g.out_h(), g.out_w()},
+                                   [&](const Lanes& in, Lanes& y) {
+                                     tensor::detail::depthwise_lanes_with(
+                                         variant, in, g, dp[0]->value.data(),
+                                         dp[1]->value.data(), y);
+                                   }),
+                  want_dw);
+      }
+    }
+  }
+}
+
+// A lane kernel refuses a chunk whose shape is not the layer's, in every
+// build: it would otherwise read past the chunk.
+TEST(ConvForward, LaneKernelsRefuseMismatchedChunks) {
+  util::Rng rng(22);
+  Conv2d conv(3, 4, 3, 1, 1, rng);
+  DepthwiseConv2d dw(3, 3, 1, 1, rng);
+  const Tensor wrong = Tensor::randn({2, 2, 5, 5}, rng);
+  EXPECT_THROW((void)conv.infer(Lanes::pack(wrong, 0, 2)),
+               std::invalid_argument);
+  EXPECT_THROW((void)dw.infer(Lanes::pack(wrong, 0, 2)),
+               std::invalid_argument);
+}
+
+TEST(Lanes, PackUnpackRoundTripKeepsUnusedLanesZero) {
+  util::Rng rng(23);
+  const Tensor x = Tensor::randn({20, 2, 3, 4}, rng);
+  for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 16},
+                               {16, 20}, {3, 4}}) {
+    const Lanes chunk = Lanes::pack(x, lo, hi);
+    EXPECT_EQ(chunk.rows(), hi - lo);
+    EXPECT_EQ(chunk.shape(), (std::vector<std::size_t>{2, 3, 4}));
+    EXPECT_EQ(chunk.features(), 24u);
+    // Element (row r, feature f) sits at f * kLanes + r.
+    EXPECT_EQ(chunk.data()[5 * kLanes + (hi - lo - 1)], x[(hi - 1) * 24 + 5]);
+    EXPECT_TRUE(unused_lanes_zero(chunk));
+    const Tensor back = chunk.unpack();
+    EXPECT_EQ(back.shape(), (std::vector<std::size_t>{hi - lo, 2, 3, 4}));
+    EXPECT_TRUE(std::equal(back.vec().begin(), back.vec().end(),
+                           x.data() + lo * 24));
+  }
+  EXPECT_THROW((void)Lanes::pack(x, 0, 17), std::invalid_argument);
+  EXPECT_THROW((void)Lanes::pack(x, 4, 4), std::invalid_argument);
+}
+
+// Every layer's lane infer matches its forward(x, false) bit for bit at
+// 1, 5 and 16 rows and leaves its unused lanes zero.
+TEST(LaneInfer, ElementwiseLayersMatchEvalForwardBitwise) {
+  util::Rng rng(24);
+  BatchNorm2d bn(3);
+  for (std::vector<float>* s : bn.state()) {
+    for (float& v : *s) v = static_cast<float>(rng.uniform(0.2, 2.0));
+  }
+  for (Parameter* p : bn.parameters()) randomize(*p, rng);
+  ReLU relu;
+  Gelu gelu;
+  GlobalAvgPool pool;
+  Flatten flatten;
+  Linear linear(60, 7, rng);
+  randomize(*linear.parameters()[1], rng);
+  Linear wide(300, 5, rng);  // 300 > kGemmKc: two K panels fold
+  randomize(*wide.parameters()[1], rng);
+  const std::pair<Layer*, std::vector<std::size_t>> cases[] = {
+      {&bn, {3, 4, 5}},      {&relu, {3, 4, 5}}, {&gelu, {3, 4, 5}},
+      {&pool, {3, 4, 5}},    {&flatten, {3, 4, 5}}, {&linear, {60}},
+      {&wide, {300}}};
+  for (const auto& [layer, shape] : cases) {
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{5}, kLanes}) {
+      SCOPED_TRACE(::testing::Message() << layer->name() << ", " << rows
+                                        << " rows");
+      std::vector<std::size_t> batch_shape = shape;
+      batch_shape.insert(batch_shape.begin(), rows);
+      const Tensor x = Tensor::randn(batch_shape, rng);
+      EXPECT_EQ(lane_infer(*layer, x).vec(), layer->forward(x, false).vec());
+      EXPECT_TRUE(unused_lanes_zero(layer->infer(Lanes::pack(x, 0, rows))));
+    }
   }
 }
 
@@ -421,6 +563,32 @@ TEST_P(ArchTest, ParameterCountMatchesTheBuiltModel) {
   }
 }
 
+// Every eval method refuses, in every build, a batch that is not
+// [N, C, H, W] of the model's input shape, and accuracy() a label vector
+// of the wrong length: a wrong channel count used to read past the
+// activation in Release builds, where the layers' asserts are compiled out.
+TEST(ModelInputs, RefusesBatchesAndLabelsThatDoNotMatch) {
+  util::Rng rng(14);
+  for (const ArchKind arch : {ArchKind::kResNet18Mini, ArchKind::kMlp}) {
+    auto model = make_model(arch, ImageShape{3, 16, 16}, 4, rng);
+    const Model& m = *model;
+    for (const std::vector<std::size_t>& shape :
+         {std::vector<std::size_t>{2, 1, 16, 16},
+          std::vector<std::size_t>{2, 3, 8, 8},
+          std::vector<std::size_t>{2, 768}}) {
+      const Tensor x(shape);
+      EXPECT_THROW((void)m.predict_proba(x), std::invalid_argument);
+      EXPECT_THROW((void)m.features(x), std::invalid_argument);
+      EXPECT_THROW((void)m.predict(x), std::invalid_argument);
+      EXPECT_THROW((void)m.accuracy(x, {0, 1}), std::invalid_argument);
+    }
+    const Tensor ok({2, 3, 16, 16});
+    EXPECT_THROW((void)m.accuracy(ok, {0}), std::invalid_argument);
+    EXPECT_EQ(m.predict(ok).size(), 2u);
+    EXPECT_EQ(m.predict_proba(Tensor({0, 3, 16, 16})).dim(0), 0u);
+  }
+}
+
 // Model's eval methods run Layer::infer, which must return exactly what the
 // caching forward(x, false) returns and write nothing, in fixed 16-row
 // chunks that each run as one task of a parallel_for.  Whatever the chunk
@@ -503,7 +671,7 @@ TEST_P(ArchTest, InferMatchesEvalForwardFromConcurrentCallers) {
             << rows << " rows, " << threads << " pool threads";
         EXPECT_EQ(a.features.vec(), row_features)
             << rows << " rows, " << threads << " pool threads";
-        EXPECT_EQ(head.infer(a.features).vec(), logits.vec())
+        EXPECT_EQ(lane_infer(head, a.features).vec(), logits.vec())
             << rows << " rows, " << threads << " pool threads";
       }
     }

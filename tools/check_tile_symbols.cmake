@@ -1,5 +1,6 @@
-# Symbol hygiene of the AVX2 GEMM tile object (src/tensor/gemm_avx2.cpp,
-# the only translation unit compiled with -mavx2):
+# Symbol hygiene of the AVX2 kernel object (src/tensor/gemm_avx2.cpp, the
+# only translation unit compiled with -mavx2: the GEMM tile and the lane
+# convolutions):
 #
 #   cmake -DNM=nm -DOBJECT=<gemm_avx2.cpp.o> -P tools/check_tile_symbols.cmake
 #
@@ -7,10 +8,10 @@
 # so a weak (W, w, V, v) or unique (u) symbol defined here could be the copy
 # the baseline path runs, and a host without AVX2 would die with SIGILL.
 # Low optimization levels emit such copies for any inline or template
-# function with external linkage the tile calls.  The check fails on those,
-# on any global symbol other than the entry points, and on a missing entry
-# point (so a wrong object path cannot pass vacuously).  CTest runs it as
-# `gemm_tile_symbols`.
+# function with external linkage the kernels call.  The check fails on
+# those, on any global symbol other than the entry points, and on a missing
+# entry point (so a wrong object path cannot pass vacuously).  CTest runs it
+# as `gemm_tile_symbols`.
 cmake_minimum_required(VERSION 3.16)
 
 if(NOT NM OR NOT OBJECT)
@@ -26,9 +27,11 @@ if(NOT status EQUAL 0)
   message(FATAL_ERROR "${NM} --defined-only ${OBJECT} failed: ${errors}")
 endif()
 
-# bprom::tensor::detail::gemm_tile_avx2, one overload per element type.
-set(entry_pattern "^_ZN5bprom6tensor6detail14gemm_tile_avx2E")
-set(entry_count 2)
+# In bprom::tensor::detail: gemm_tile_avx2, one overload per element type,
+# and the lane convolutions conv_lanes_avx2 and depthwise_lanes_avx2.
+set(entry_pattern
+    "^_ZN5bprom6tensor6detail(14gemm_tile_avx2|15conv_lanes_avx2|20depthwise_lanes_avx2)E")
+set(entry_count 4)
 # ISA-neutral data the compiler may emit weak: the exception-handling
 # personality pointer.
 set(allowed DW.ref.__gxx_personality_v0)
@@ -62,8 +65,8 @@ if(violations)
     "${OBJECT} defines symbols the AVX2 tile must not:\n  ${report}")
 endif()
 if(NOT entries EQUAL entry_count)
-  message(FATAL_ERROR "${OBJECT}: expected ${entry_count} gemm_tile_avx2 "
-                      "entry points, found ${entries}")
+  message(FATAL_ERROR "${OBJECT}: expected ${entry_count} AVX2 kernel entry "
+                      "points, found ${entries}")
 endif()
 message(STATUS
   "${OBJECT}: ${entries} entry points, no weak or stray global symbols")
