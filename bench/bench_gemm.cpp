@@ -2,20 +2,23 @@
 // single-thread reference across the shapes the framework's training path
 // runs, plus the large square shapes of the >= 2x single-thread gate, and
 // every tile variant this host can run timed single-threaded on each shape.
-// The lane convolutions: every variant this host can run, single-threaded
-// on one full 16-row chunk, at each Conv2d and DepthwiseConv2d shape of the
-// ResNet18Mini, MobileNetV2Mini and MobileViTMini inference forwards on
-// 3 x 16 x 16 inputs, next to the same layer's row-major forward on those
-// 16 rows (im2col plus per-sample GEMMs for Conv2d), which is now the
-// training path.  Emits BENCH_gemm.json via BenchReport, with the chosen
-// variant under labels.gemm_tile:
-//   gemm/<shape>/naive          seconds, scalar reference, 1 thread
-//   gemm/<shape>/blocked_1t     seconds, blocked kernel under a 1-thread pool
-//   gemm/<shape>/blocked        seconds, blocked kernel on the default pool
-//   gemm/<shape>/speedup_1t     naive / blocked_1t ratio (dimensionless)
-//   gemm/<shape>/<variant>_1t   seconds, that tile variant, 1-thread pool
-//   lanes/<layer>/forward_1t    seconds, row-major forward of 16 rows
-//   lanes/<layer>/<variant>_1t  seconds, that variant's lane kernel, 16 lanes
+// The lane convolutions: every variant this host can run (baseline, avx2,
+// avx512), single-threaded on one full 16-row chunk, at each Conv2d and
+// DepthwiseConv2d shape of the ResNet18Mini, MobileNetV2Mini and
+// MobileViTMini inference forwards on 3 x 16 x 16 inputs, next to the same
+// layer's row-major training forward on those 16 rows (im2col plus
+// per-sample GEMMs for Conv2d, a row-wise tap loop for depthwise).  Each
+// 3 x 3 shape is also timed with the BatchNorm2d + ReLU epilogue its
+// inference forward runs in the kernel.  Emits BENCH_gemm.json via
+// BenchReport, with the chosen variant under labels.gemm_tile:
+//   gemm/<shape>/naive                seconds, scalar reference, 1 thread
+//   gemm/<shape>/blocked_1t           seconds, blocked kernel, 1-thread pool
+//   gemm/<shape>/blocked              seconds, blocked kernel, default pool
+//   gemm/<shape>/speedup_1t           naive / blocked_1t (dimensionless)
+//   gemm/<shape>/<variant>_1t         seconds, that tile variant, 1 thread
+//   lanes/<layer>/forward_1t          seconds, row-major forward of 16 rows
+//   lanes/<layer>/<variant>_1t        seconds, that variant's lane kernel
+//   lanes/<layer>/<variant>_bn_relu_1t  the same with the epilogue (3 x 3)
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
@@ -201,6 +204,12 @@ int main() {
     const std::vector<bprom::nn::Parameter*> params = layer->parameters();
     const float* weight = params[0]->value.data();
     const float* bias = params[1]->value.data();
+    // Default running statistics and affine parameters: the epilogue's
+    // cost does not depend on their values.
+    const bprom::nn::BatchNorm2d bn(s.out_c);
+    std::vector<float> inv_std;
+    const bprom::tensor::LaneEpilogue bn_relu =
+        bn.lane_epilogue(s.out_c, inv_std, /*relu=*/true);
 
     const std::size_t taps = s.depthwise ? s.kernel * s.kernel
                                          : g.patch_size();
@@ -215,21 +224,36 @@ int main() {
     });
     std::printf("%-22s %12.2f", s.id, forward * 1e6);
     report.add_cell(prefix + "forward_1t", forward);
+    std::string fused_line;
     for (const auto& variant : bprom::tensor::detail::gemm_variants()) {
       if (!variant.supported) continue;
-      const double seconds = time_reps(reps, [&] {
-        if (s.depthwise) {
-          bprom::tensor::detail::depthwise_lanes_with(variant, lanes, g,
-                                                      weight, bias, y);
-        } else {
-          bprom::tensor::detail::conv2d_lanes_with(variant, lanes, g, weight,
-                                                   bias, s.out_c, y);
-        }
-      });
+      const auto run = [&](const bprom::tensor::LaneEpilogue& epilogue) {
+        return time_reps(reps, [&] {
+          if (s.depthwise) {
+            bprom::tensor::detail::depthwise_lanes_with(variant, lanes, g,
+                                                        weight, bias, y,
+                                                        epilogue);
+          } else {
+            bprom::tensor::detail::conv2d_lanes_with(
+                variant, lanes, g, weight, bias, s.out_c, y, epilogue);
+          }
+        });
+      };
+      const double seconds = run({});
       std::printf(" %12.2f", seconds * 1e6);
       report.add_cell(prefix + variant.name + "_1t", seconds);
+      if (s.kernel == 3) {
+        const double fused = run(bn_relu);
+        char cell[16];
+        std::snprintf(cell, sizeof cell, " %12.2f", fused * 1e6);
+        fused_line += cell;
+        report.add_cell(prefix + variant.name + "_bn_relu_1t", fused);
+      }
     }
     std::printf("\n");
+    if (!fused_line.empty()) {
+      std::printf("%-22s %12s%s\n", "  + bn_relu", "", fused_line.c_str());
+    }
   }
   report.write();
   return 0;

@@ -38,13 +38,11 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
 }
 
 Lanes ResidualBlock::infer(const Lanes& x) const {
-  Lanes h = conv1_.infer(x);
-  h = bn1_.infer(std::move(h));
-  h = relu1_.infer(std::move(h));
-  h = conv2_.infer(h);
-  h = bn2_.infer(std::move(h));
+  // Each convolution runs its BatchNorm (and ReLU) in its epilogue.
+  Lanes h = conv1_.infer_fused(x, bn1_, /*relu=*/true);
+  h = conv2_.infer_fused(h, bn2_, /*relu=*/false);
   if (proj_) {
-    h.add(proj_bn_->infer(proj_->infer(x)));
+    h.add(proj_->infer_fused(x, *proj_bn_, /*relu=*/false));
   } else {
     h.add(x);
   }
@@ -112,11 +110,9 @@ Tensor DepthwiseSeparableBlock::forward(const Tensor& x, bool train) {
 }
 
 Lanes DepthwiseSeparableBlock::infer(const Lanes& x) const {
-  Lanes h = dw_.infer(x);
-  h = bn1_.infer(std::move(h));
-  h = relu1_.infer(std::move(h));
-  h = pw_.infer(h);
-  h = bn2_.infer(std::move(h));
+  // Each convolution runs its BatchNorm (and ReLU) in its epilogue.
+  Lanes h = dw_.infer_fused(x, bn1_, /*relu=*/true);
+  h = pw_.infer_fused(h, bn2_, /*relu=*/false);
   if (has_skip_) h.add(x);
   return relu_out_.infer(std::move(h));
 }

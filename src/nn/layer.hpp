@@ -52,7 +52,11 @@ class Layer {
   /// for bit, row r of forward(X, false) for the batch X of the chunk's
   /// rows: every output sums the same products in the same order, lane by
   /// lane.  Unused lanes stay zero.  Writes no member, so it is safe to
-  /// call concurrently; nothing may backward() through it.
+  /// call concurrently; nothing may backward() through it.  It may use the
+  /// calling thread's util::Scratch arena (Conv2d's padded input), never
+  /// across a parallel_for.  Sequential and the blocks run a convolution
+  /// and the BatchNorm2d (and ReLU) after it as one call, whose epilogue
+  /// does the same per-element arithmetic as their own infer().
   [[nodiscard]] virtual Lanes infer(const Lanes& x) const = 0;
 
   /// Rvalue infer: chain drivers hand the chunk over by value so

@@ -244,13 +244,22 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-Lanes Conv2d::infer(const Lanes& x) const {
+Lanes Conv2d::infer(const Lanes& x) const { return infer_with(x, {}); }
+
+Lanes Conv2d::infer_fused(const Lanes& x, const BatchNorm2d& bn,
+                          bool relu) const {
+  std::vector<float> inv_std;
+  return infer_with(x, bn.lane_epilogue(out_c_, inv_std, relu));
+}
+
+Lanes Conv2d::infer_with(const Lanes& x,
+                         const tensor::LaneEpilogue& epilogue) const {
   // The lane kernel refuses a chunk whose shape does not match.
   const tensor::ConvGeometry geom{in_c_, x.dim(1), x.dim(2),
                                   kernel_, stride_, pad_};
   Lanes y({out_c_, geom.out_h(), geom.out_w()}, x.rows());
   tensor::conv2d_lanes(x, geom, weight_.value.data(), bias_.value.data(),
-                       out_c_, y);
+                       out_c_, y, epilogue);
   y.clear_unused();
   return y;
 }
@@ -377,12 +386,23 @@ Tensor DepthwiseConv2d::forward(const Tensor& x, bool /*train*/) {
 }
 
 Lanes DepthwiseConv2d::infer(const Lanes& x) const {
+  return infer_with(x, {});
+}
+
+Lanes DepthwiseConv2d::infer_fused(const Lanes& x, const BatchNorm2d& bn,
+                                   bool relu) const {
+  std::vector<float> inv_std;
+  return infer_with(x, bn.lane_epilogue(channels_, inv_std, relu));
+}
+
+Lanes DepthwiseConv2d::infer_with(const Lanes& x,
+                                  const tensor::LaneEpilogue& epilogue) const {
   // The lane kernel refuses a chunk whose shape does not match.
   const tensor::ConvGeometry geom{channels_, x.dim(1), x.dim(2),
                                   kernel_, stride_, pad_};
   Lanes y({channels_, geom.out_h(), geom.out_w()}, x.rows());
   tensor::depthwise_lanes(x, geom, weight_.value.data(), bias_.value.data(),
-                          y);
+                          y, epilogue);
   y.clear_unused();
   return y;
 }
@@ -499,19 +519,18 @@ Lanes BatchNorm2d::infer(const Lanes& x) const { return infer(Lanes(x)); }
 
 Lanes BatchNorm2d::infer(Lanes&& x) const {
   Lanes y = std::move(x);
-  if (y.shape().empty() || y.dim(0) != channels_) {
-    throw std::invalid_argument("BatchNorm2d: chunk channels do not match");
-  }
+  std::vector<float> is;
+  const tensor::LaneEpilogue e =
+      lane_epilogue(y.shape().empty() ? 0 : y.dim(0), is, false);
   // normalize()'s per-element arithmetic over every lane of each channel,
-  // with the running statistics.
-  const std::vector<float> is = inv_std(running_var_);
+  // with the running statistics: the lane kernels' epilogue, in memory.
   const std::size_t len = y.features() / channels_ * kLanes;
   for (std::size_t c = 0; c < channels_; ++c) {
     float* p = y.data() + c * len;
-    const float m = running_mean_[c];
-    const float s = is[c];
-    const float g = gamma_.value[c];
-    const float bt = beta_.value[c];
+    const float m = e.mean[c];
+    const float s = e.inv_std[c];
+    const float g = e.gamma[c];
+    const float bt = e.beta[c];
     for (std::size_t i = 0; i < len; ++i) {
       const float v = (p[i] - m) * s;
       p[i] = g * v + bt;
@@ -519,6 +538,19 @@ Lanes BatchNorm2d::infer(Lanes&& x) const {
   }
   y.clear_unused();
   return y;
+}
+
+tensor::LaneEpilogue BatchNorm2d::lane_epilogue(
+    std::size_t channels, std::vector<float>& inv_std_out, bool relu) const {
+  if (channels == 0 || channels != channels_) {
+    throw std::invalid_argument("BatchNorm2d: chunk channels do not match");
+  }
+  inv_std_out = inv_std(running_var_);
+  return {.mean = running_mean_.data(),
+          .inv_std = inv_std_out.data(),
+          .gamma = gamma_.value.data(),
+          .beta = beta_.value.data(),
+          .relu = relu};
 }
 
 std::vector<float> BatchNorm2d::inv_std(const std::vector<float>& var) const {

@@ -11,6 +11,8 @@
 
 namespace bprom::nn {
 
+class BatchNorm2d;
+
 class Linear final : public Layer {
  public:
   Linear(std::size_t in, std::size_t out, util::Rng& rng);
@@ -47,6 +49,11 @@ class Conv2d final : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   [[nodiscard]] Lanes infer(const Lanes& x) const override;
+  /// infer(), then `bn`'s infer() and, when `relu`, ReLU::infer(), as one
+  /// pass: the lane kernel normalizes (and rectifies) each output vector
+  /// before it stores it, with the same bits as the three calls.
+  [[nodiscard]] Lanes infer_fused(const Lanes& x, const BatchNorm2d& bn,
+                                  bool relu) const;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -55,6 +62,9 @@ class Conv2d final : public Layer {
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
  private:
+  [[nodiscard]] Lanes infer_with(const Lanes& x,
+                                 const tensor::LaneEpilogue& epilogue) const;
+
   std::size_t in_c_;
   std::size_t out_c_;
   std::size_t kernel_;
@@ -79,6 +89,10 @@ class DepthwiseConv2d final : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   [[nodiscard]] Lanes infer(const Lanes& x) const override;
+  /// infer(), then `bn`'s infer() and, when `relu`, ReLU::infer(), as one
+  /// pass (see Conv2d::infer_fused).
+  [[nodiscard]] Lanes infer_fused(const Lanes& x, const BatchNorm2d& bn,
+                                  bool relu) const;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -87,6 +101,9 @@ class DepthwiseConv2d final : public Layer {
   [[nodiscard]] std::string name() const override { return "DepthwiseConv2d"; }
 
  private:
+  [[nodiscard]] Lanes infer_with(const Lanes& x,
+                                 const tensor::LaneEpilogue& epilogue) const;
+
   std::size_t channels_;
   std::size_t kernel_;
   std::size_t stride_;
@@ -113,6 +130,14 @@ class BatchNorm2d final : public Layer {
     return std::make_unique<BatchNorm2d>(*this);
   }
   [[nodiscard]] std::string name() const override { return "BatchNorm2d"; }
+
+  /// The eval-mode normalization as a lane-convolution epilogue for a
+  /// chunk of `channels` channels (std::invalid_argument unless they are
+  /// this layer's): running mean, 1 / sqrt(running var + eps) (written to
+  /// `inv_std_out`, which must outlive the result), gamma and beta, then a
+  /// ReLU when `relu`.  infer() normalizes with the same pair.
+  [[nodiscard]] tensor::LaneEpilogue lane_epilogue(
+      std::size_t channels, std::vector<float>& inv_std_out, bool relu) const;
 
  private:
   /// 1 / sqrt(var + eps) per channel.

@@ -1,6 +1,32 @@
 #include "nn/sequential.hpp"
 
+#include <utility>
+
+#include "nn/layers.hpp"
+
 namespace bprom::nn {
+namespace {
+
+/// Runs layers[next] on x and moves `next` past it, or, when layers[next]
+/// is a Conv2d followed by a BatchNorm2d, runs the pair (and a ReLU after
+/// it) as one fused call and moves past all of them.
+template <typename In>
+Lanes infer_step(const std::vector<std::unique_ptr<Layer>>& layers,
+                 std::size_t& next, In&& x) {
+  const Layer& layer = *layers[next++];
+  const auto* conv = dynamic_cast<const Conv2d*>(&layer);
+  const auto* bn = conv != nullptr && next < layers.size()
+                       ? dynamic_cast<const BatchNorm2d*>(layers[next].get())
+                       : nullptr;
+  if (bn == nullptr) return layer.infer(std::forward<In>(x));
+  ++next;
+  const bool relu = next < layers.size() &&
+                    dynamic_cast<const ReLU*>(layers[next].get()) != nullptr;
+  if (relu) ++next;
+  return conv->infer_fused(x, *bn, relu);
+}
+
+}  // namespace
 
 Tensor Sequential::forward(const Tensor& x, bool train) {
   return forward(Tensor(x), train);
@@ -16,17 +42,17 @@ Tensor Sequential::forward(Tensor&& x, bool train) {
 
 Lanes Sequential::infer(const Lanes& x) const {
   if (layers_.empty()) return x;
-  Lanes h = layers_.front()->infer(x);
-  for (std::size_t i = 1; i < layers_.size(); ++i) {
-    h = layers_[i]->infer(std::move(h));
-  }
+  std::size_t next = 0;
+  Lanes h = infer_step(layers_, next, x);
+  while (next < layers_.size()) h = infer_step(layers_, next, std::move(h));
   return h;
 }
 
 Lanes Sequential::infer(Lanes&& x) const {
   // The chunk moves down the chain, so elementwise layers work in place.
   Lanes h = std::move(x);
-  for (const auto& layer : layers_) h = layer->infer(std::move(h));
+  std::size_t next = 0;
+  while (next < layers_.size()) h = infer_step(layers_, next, std::move(h));
   return h;
 }
 

@@ -36,6 +36,18 @@ bool host_has_avx2() {
 #endif
 }
 
+/// AVX-512F, and AVX2 for the variant's GEMM tiles and depthwise kernel
+/// (every AVX-512F CPU has it).  libgcc reports avx512f only when XGETBV
+/// shows that the OS saves the ZMM and mask registers.
+bool host_has_avx512() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") != 0 && host_has_avx2();
+#else
+  return false;
+#endif
+}
+
 template <typename T>
 detail::GemmTileFn<T> tile_of(const detail::GemmVariant& variant) {
   if constexpr (sizeof(T) == sizeof(float)) {
@@ -149,6 +161,8 @@ std::span<const GemmVariant> gemm_variants() {
 #if defined(__x86_64__)
       {"avx2", kAvx2NrF32, kAvx2NrF64, host_has_avx2(), gemm_tile_avx2,
        gemm_tile_avx2, conv_lanes_avx2, depthwise_lanes_avx2},
+      {"avx512", kAvx2NrF32, kAvx2NrF64, host_has_avx512(), gemm_tile_avx2,
+       gemm_tile_avx2, conv_lanes_avx512, depthwise_lanes_avx2},
 #endif
   };
   return kVariants;

@@ -27,7 +27,7 @@ void gemm_tile_avx2(const GemmTileArgs<double>& args) {
   gemm_tile<double, kAvx2NrF64>(args);
 }
 
-void conv_lanes_avx2(const LaneConvArgs& args) { lane_conv<4, 8>(args); }
+void conv_lanes_avx2(const LaneConvArgs& args) { lane_conv<4, 1, 8>(args); }
 
 void depthwise_lanes_avx2(const LaneConvArgs& args) {
   lane_depthwise<4, 8>(args);

@@ -6,22 +6,20 @@
 //
 // A variant is one instantiation of tensor/gemm_tile.hpp, a function that
 // computes a whole macro-tile (every KC panel, packing included) into
-// buffers the caller passes in, plus one of tensor/lane_tile.hpp, the two
-// lane convolutions.  tensor/gemm.cpp keeps the tile grid, the pool, the
+// buffers the caller passes in, plus instantiations of tensor/lane_tile.hpp,
+// the two lane convolutions (the avx512 variant reuses the AVX2 tiles and
+// depthwise kernel).  tensor/gemm.cpp keeps the tile grid, the pool, the
 // scratch arena and the zero-fill of C, and tensor/lane_conv.cpp the shape
-// checks, so a variant differs from another only in its register blocking
-// and in the ISA its translation unit was compiled for.
+// checks, Conv2d's padded copy and its tap table, so a variant differs from
+// another only in its register blocking and in the ISA its translation
+// unit was compiled for.
 #pragma once
 
 #include <cstddef>
 #include <span>
 
 #include "tensor/gemm.hpp"
-
-namespace bprom::tensor {
-class Lanes;
-struct ConvGeometry;
-}  // namespace bprom::tensor
+#include "tensor/lanes.hpp"
 
 namespace bprom::tensor::detail {
 
@@ -60,6 +58,12 @@ using GemmTileFn = void (*)(const GemmTileArgs<T>&);
 /// shape [in_c, in_h, in_w], into y, per-row shape [out_c, out_h, out_w],
 /// both kLanes floats per feature.  Conv2d weights are [out_c, in_c * k * k];
 /// a depthwise convolution has out_c == in_c and weights [in_c, k * k].
+///
+/// A Conv2d kernel reads x through `taps`: x is already zero-padded
+/// (pad == 0, in_h and in_w the padded extent), and taps[p] is the float
+/// offset of tap p = (c, ky, kx) from an output pixel's first input.  A
+/// depthwise kernel walks the taps inside the image and leaves `taps` null.
+/// `epilogue` is applied to every output vector before it is stored.
 struct LaneConvArgs {
   const float* x;
   const float* weight;
@@ -74,12 +78,14 @@ struct LaneConvArgs {
   std::size_t kernel;
   std::size_t stride;
   std::size_t pad;
+  const std::size_t* taps;
+  LaneEpilogue epilogue;
 };
 
 using LaneConvFn = void (*)(const LaneConvArgs&);
 
 struct GemmVariant {
-  const char* name;         ///< "baseline", "avx2"
+  const char* name;         ///< "baseline", "avx2", "avx512"
   std::size_t nr_f32;       ///< register-tile width, floats
   std::size_t nr_f64;       ///< register-tile width, doubles
   bool supported;           ///< the host CPU can run it
@@ -109,10 +115,12 @@ void gemm_with(const GemmVariant& variant, Trans ta, Trans tb, std::size_t m,
 /// conv2d_lanes() and depthwise_lanes() on the given variant.
 void conv2d_lanes_with(const GemmVariant& variant, const Lanes& x,
                        const ConvGeometry& g, const float* weight,
-                       const float* bias, std::size_t out_c, Lanes& y);
+                       const float* bias, std::size_t out_c, Lanes& y,
+                       const LaneEpilogue& epilogue = {});
 void depthwise_lanes_with(const GemmVariant& variant, const Lanes& x,
                           const ConvGeometry& g, const float* weight,
-                          const float* bias, Lanes& y);
+                          const float* bias, Lanes& y,
+                          const LaneEpilogue& epilogue = {});
 
 /// The baseline lane convolutions (tensor/lane_conv.cpp).
 void conv_lanes_baseline(const LaneConvArgs& args);
@@ -125,6 +133,10 @@ void gemm_tile_avx2(const GemmTileArgs<float>& args);
 void gemm_tile_avx2(const GemmTileArgs<double>& args);
 void conv_lanes_avx2(const LaneConvArgs& args);
 void depthwise_lanes_avx2(const LaneConvArgs& args);
+
+/// The AVX-512 Conv2d lane convolution (tensor/gemm_avx512.cpp, compiled
+/// with -mavx512f).  Run it only on a host whose CPUID reports AVX-512F.
+void conv_lanes_avx512(const LaneConvArgs& args);
 #endif
 
 }  // namespace bprom::tensor::detail

@@ -69,21 +69,39 @@ class Lanes {
   std::vector<float> data_;
 };
 
+/// What a lane convolution applies to each output vector before it stores
+/// it: an eval-mode BatchNorm2d when `mean` is set, then a ReLU when `relu`
+/// is.  Per element that is BatchNorm2d::infer's v = (p - mean) * inv_std,
+/// p = gamma * v + beta, and ReLU::infer's p = p > 0 ? p : 0, with the same
+/// roundings.  The four arrays hold one float per output channel.
+struct LaneEpilogue {
+  const float* mean = nullptr;
+  const float* inv_std = nullptr;
+  const float* gamma = nullptr;
+  const float* beta = nullptr;
+  bool relu = false;
+};
+
 /// Conv2d over a lane chunk: y (per-row shape [out_c, out_h, out_w], every
 /// lane written) from x (per-row shape [g.in_c, g.in_h, g.in_w]), weight
-/// [out_c, g.patch_size()] and bias [out_c].  Each output sums w * x over
-/// its in-image taps in ascending (c, ky, kx) order, each kGemmKc-tap panel
-/// from +0, and folds the panel sums onto the bias in ascending order: the
-/// additions of the im2col GEMM, without its zero products.  Allocates
-/// nothing.
+/// [out_c, g.patch_size()] and bias [out_c], then `epilogue`.  Each output
+/// sums w * x over its taps in ascending (c, ky, kx) order, padding taps
+/// as w * 0, each kGemmKc-tap panel from +0, and folds the panel sums onto
+/// the bias in ascending order: the additions of the im2col GEMM.  A padded
+/// layer's input is first copied into a zero-bordered buffer; that buffer
+/// and the tap-offset table live in the calling thread's util::Scratch
+/// arena, and the call never enters the pool.
 void conv2d_lanes(const Lanes& x, const ConvGeometry& g, const float* weight,
-                  const float* bias, std::size_t out_c, Lanes& y);
+                  const float* bias, std::size_t out_c, Lanes& y,
+                  const LaneEpilogue& epilogue = {});
 
 /// DepthwiseConv2d over a lane chunk: y (per-row shape [g.in_c, out_h,
 /// out_w], every lane written) from weight [g.in_c, k * k] and bias
-/// [g.in_c].  Each output starts at its channel's bias and adds w * x over
-/// its in-image taps in ascending (ky, kx) order.  Allocates nothing.
+/// [g.in_c], then `epilogue`.  Each output starts at its channel's bias and
+/// adds w * x over its in-image taps in ascending (ky, kx) order.
+/// Allocates nothing.
 void depthwise_lanes(const Lanes& x, const ConvGeometry& g,
-                     const float* weight, const float* bias, Lanes& y);
+                     const float* weight, const float* bias, Lanes& y,
+                     const LaneEpilogue& epilogue = {});
 
 }  // namespace bprom::tensor

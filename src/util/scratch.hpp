@@ -1,6 +1,7 @@
 // Per-thread scratch arena for hot-path temporaries (GEMM packing panels,
-// edge-tile staging).  Buffers grow monotonically and are reused across
-// calls, so the steady state performs no heap allocation.
+// edge-tile staging, the lane convolutions' padded input and tap table).
+// Buffers grow monotonically and are reused across calls, so the steady
+// state performs no heap allocation.
 //
 // Lifetime rules (see README "Performance & parallelism"):
 //   - Scratch::tls() hands out buffers owned by the *calling thread*.  A
@@ -34,6 +35,11 @@ class Scratch {
     /// Squashed border fill / additive perturbation field of one
     /// VisualPrompt::apply call (vp/prompt.cpp).
     kPromptField,
+    /// Zero-bordered copy of a padded Conv2d's input chunk and the
+    /// layer's tap-offset table, for one lane convolution
+    /// (tensor/lane_conv.cpp).
+    kLanePadded,
+    kLaneTaps,
     kSlotCount,
   };
 

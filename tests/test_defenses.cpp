@@ -1,6 +1,7 @@
 // Baseline defense sanity: each defense beats chance on the attack class it
-#include <cmath>
 // is designed for, on a genuinely backdoored model.
+#include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 #include <gtest/gtest.h>
@@ -71,12 +72,14 @@ std::string listing(const std::vector<double>& scores) {
   return out;
 }
 
-// SentiNet and CD score every occlusion, mask and transplant of an input.
-// Their scores on 8 clean and 8 triggered test images, for the backdoored
-// and the clean model, are pinned to the values these functions returned
-// when every such query was a one-row call, so grouping the queries into
-// batches cannot move a score or a strict `>` tie-break.
-TEST(Defenses, SentiNetAndCdScoresArePinned) {
+/// 8 clean and 8 BadNets-triggered test images, and 8 other clean test
+/// images as the reference set.
+struct PinnedInputs {
+  nn::LabeledData mixed;
+  nn::LabeledData reference;
+};
+
+PinnedInputs pinned_inputs() {
   auto& f = fixture();
   auto atk = attacks::AttackConfig::defaults(attacks::AttackKind::kBadNets, 0);
   atk.seed = f.bd.attack.seed;
@@ -91,9 +94,18 @@ TEST(Defenses, SentiNetAndCdScoresArePinned) {
   nn::LabeledData triggered = data::subset(f.src.test, trigger_idx);
   const attacks::TriggerEngine engine(atk, f.bd.model->input_shape());
   engine.apply_all(triggered.images);
-  const nn::LabeledData mixed =
-      data::concat(data::subset(f.src.test, benign_idx), triggered);
-  const nn::LabeledData reference = data::subset(f.src.test, reference_idx);
+  return {data::concat(data::subset(f.src.test, benign_idx), triggered),
+          data::subset(f.src.test, reference_idx)};
+}
+
+// SentiNet and CD score every occlusion, mask and transplant of an input.
+// Their scores on 8 clean and 8 triggered test images, for the backdoored
+// and the clean model, are pinned to the values these functions returned
+// when every such query was a one-row call, so grouping the queries into
+// batches cannot move a score or a strict `>` tie-break.
+TEST(Defenses, SentiNetAndCdScoresArePinned) {
+  auto& f = fixture();
+  const auto [mixed, reference] = pinned_inputs();
 
   struct Pinned {
     nn::Model* model;
@@ -117,6 +129,48 @@ TEST(Defenses, SentiNetAndCdScoresArePinned) {
     const std::vector<double> cd = defenses::cd_scores(*p.model, mixed.images);
     EXPECT_EQ(sentinet, p.sentinet) << listing(sentinet);
     EXPECT_EQ(cd, p.cd) << listing(cd);
+  }
+}
+
+// STRIP blends each input with 10 reference images drawn from one Rng in
+// (input, overlay) order.  Its scores on the same 16 images, for both
+// models, are pinned to the values it returned when each input's overlays
+// were one call, so sending every input's overlays in one call cannot move
+// a score.
+TEST(Defenses, StripScoresArePinned) {
+  auto& f = fixture();
+  const auto [mixed, reference] = pinned_inputs();
+  struct Pinned {
+    nn::Model* model;
+    std::vector<double> strip;
+  };
+  const Pinned pinned[] = {
+      {f.bd.model.get(),
+       {-1.8350696505854198, -2.149785802162969, -1.8393882314144192,
+        -1.8135992473163245, -1.9957160743827509, -1.9796079338723964,
+        -1.5144346022828525, -1.7512703989305067, -1.714719348704449,
+        -1.3309216271486182, -1.7031301446243972, -1.3632921008029693,
+        -1.6316700657898735, -1.5306111192923673, -1.6953670275190547,
+        -1.6878325022401306}},
+      {f.cln.model.get(),
+       {-1.6723824947374457, -1.3452022987299972, -1.800171282547621,
+        -1.6509578962801279, -1.5215309796133969, -1.3002216158667148,
+        -1.0527032635413303, -1.2618778990400039, -1.4306956257262009,
+        -1.7062553257018167, -1.6601009839242025, -1.1577067504422229,
+        -1.2761210625527166, -1.7069199246282341, -1.3928541430643304,
+        -1.690968087126445}},
+  };
+  for (const Pinned& p : pinned) {
+    util::Rng rng(41);
+    const std::vector<double> strip =
+        defenses::strip_scores(*p.model, mixed.images, reference, rng);
+    std::string exact = "{";
+    for (const double s : strip) {
+      char digits[32];
+      std::snprintf(digits, sizeof digits, "%.17g, ", s);
+      exact += digits;
+    }
+    EXPECT_EQ(strip, p.strip) << exact << "}";
   }
 }
 

@@ -2,7 +2,7 @@
 // through the full blocked gemm and must agree bit for bit with the
 // reference over edge-tile shapes, every transpose/accumulate variant,
 // multi-panel K, doubles, and 1/2/8-thread pools; the dispatcher must pick
-// AVX2 exactly when CPUID reports it.
+// the widest variant CPUID reports.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -32,8 +32,8 @@ std::vector<double> randn_f64(std::size_t count, util::Rng& rng) {
   return v;
 }
 
-/// The compiled variants this host can run: the baseline always, AVX2 when
-/// CPUID reports it.
+/// The compiled variants this host can run: the baseline always, AVX2 and
+/// AVX-512 when CPUID reports them.
 std::vector<const GemmVariant*> runnable_variants() {
   std::vector<const GemmVariant*> out;
   for (const GemmVariant& v : detail::gemm_variants()) {
@@ -62,12 +62,16 @@ TEST(Gemm, VariantTableListsTheBaselineFirst) {
               detail::gemm_variant().name, ran.c_str());
 }
 
+// The last variant CPUID supports: avx512 on AVX-512F hosts (which all
+// have the AVX2 its GEMM tiles and depthwise kernel run), else avx2 on AVX2
+// hosts, else the baseline.
 TEST(Gemm, DispatcherPicksAvx2ExactlyWhenTheCpuHasIt) {
 #if defined(__x86_64__)
   __builtin_cpu_init();
   const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  const bool avx512 = avx2 && __builtin_cpu_supports("avx512f") != 0;
   EXPECT_EQ(std::string(detail::gemm_variant().name),
-            avx2 ? "avx2" : "baseline");
+            avx512 ? "avx512" : avx2 ? "avx2" : "baseline");
 #else
   EXPECT_EQ(std::string(detail::gemm_variant().name), "baseline");
 #endif

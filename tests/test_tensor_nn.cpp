@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 #include "nn/arch.hpp"
@@ -230,11 +233,53 @@ std::vector<float> depthwise_reference(const Tensor& x, const Tensor& weight,
   return y;
 }
 
+/// A BatchNorm2d of `channels` channels whose eval forward moves every
+/// value: running mean off 0, running variance off 1, gamma off 1, beta
+/// off 0, each drawn per channel.
+BatchNorm2d shifted_batchnorm(std::size_t channels, util::Rng& rng) {
+  BatchNorm2d bn(channels);
+  const std::vector<std::vector<float>*> state = bn.state();
+  for (float& m : *state[0]) m = static_cast<float>(rng.normal());
+  for (float& v : *state[1]) v = static_cast<float>(rng.uniform(0.2, 2.0));
+  for (Parameter* p : bn.parameters()) randomize(*p, rng);
+  return bn;
+}
+
+/// `y` ([N, C, plane] flattened) through BatchNorm2d::infer's per-element
+/// arithmetic with the running statistics, then ReLU's when `relu`.
+std::vector<float> bn_relu_reference(std::vector<float> y, BatchNorm2d& bn,
+                                     std::size_t plane, bool relu) {
+  const std::vector<std::vector<float>*> state = bn.state();
+  const std::vector<Parameter*> params = bn.parameters();
+  const std::size_t channels = state[0]->size();
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const std::size_t c = i / plane % channels;
+    const float inv_std = 1.0F / std::sqrt((*state[1])[c] + 1e-5F);
+    const float v = (y[i] - (*state[0])[c]) * inv_std;
+    y[i] = params[0]->value[c] * v + params[1]->value[c];
+    if (relu) y[i] = y[i] > 0.0F ? y[i] : 0.0F;
+  }
+  return y;
+}
+
+/// The training path's eval forward of a convolution, its BatchNorm2d and,
+/// when `relu`, a ReLU.
+std::vector<float> eval_forward(Layer& conv, BatchNorm2d& bn, bool relu,
+                                const Tensor& x) {
+  Tensor y = bn.forward(conv.forward(x, false), false);
+  if (relu) y = ReLU().forward(y, false);
+  return y.vec();
+}
+
 // The training forward (im2col GEMM), the lane infer at 1, 5 and 16 rows
 // and every lane kernel variant this host can run all match the direct
-// loops bit for bit, and the lane infer leaves its unused lanes zero.
+// loops bit for bit, and the lane infer leaves its unused lanes zero.  The
+// same holds with each convolution's BatchNorm2d epilogue, with and without
+// a ReLU, against the training path's conv, BatchNorm and ReLU forwards.
 TEST(ConvForward, MatchesDirectLoopBitwise) {
   util::Rng rng(21);
+  std::size_t rectified = 0;
+  std::size_t outputs = 0;
   for (const ConvCase& cc : kConvCases) {
     for (const std::size_t rows : {std::size_t{1}, std::size_t{5}, kLanes}) {
       SCOPED_TRACE(::testing::Message()
@@ -243,7 +288,9 @@ TEST(ConvForward, MatchesDirectLoopBitwise) {
                    << cc.w << ", " << rows << " rows");
       const tensor::ConvGeometry g{cc.in_c, cc.h, cc.w, cc.kernel, cc.stride,
                                    cc.pad};
+      const std::size_t plane = g.out_h() * g.out_w();
       Tensor x = Tensor::randn({rows, cc.in_c, cc.h, cc.w}, rng);
+      const Lanes chunk = Lanes::pack(x, 0, rows);
 
       Conv2d conv(cc.in_c, cc.out_c, cc.kernel, cc.stride, cc.pad, rng);
       std::vector<Parameter*> cp = conv.parameters();
@@ -252,7 +299,7 @@ TEST(ConvForward, MatchesDirectLoopBitwise) {
           conv2d_reference(x, cp[0]->value, cp[1]->value, g, cc.out_c);
       EXPECT_EQ(conv.forward(x, false).vec(), want);
       EXPECT_EQ(lane_infer(conv, x).vec(), want);
-      EXPECT_TRUE(unused_lanes_zero(conv.infer(Lanes::pack(x, 0, rows))));
+      EXPECT_TRUE(unused_lanes_zero(conv.infer(chunk)));
 
       DepthwiseConv2d dw(cc.in_c, cc.kernel, cc.stride, cc.pad, rng);
       std::vector<Parameter*> dp = dw.parameters();
@@ -261,27 +308,111 @@ TEST(ConvForward, MatchesDirectLoopBitwise) {
           depthwise_reference(x, dp[0]->value, dp[1]->value, g);
       EXPECT_EQ(dw.forward(x, false).vec(), want_dw);
       EXPECT_EQ(lane_infer(dw, x).vec(), want_dw);
-      EXPECT_TRUE(unused_lanes_zero(dw.infer(Lanes::pack(x, 0, rows))));
+      EXPECT_TRUE(unused_lanes_zero(dw.infer(chunk)));
+
+      BatchNorm2d bn = shifted_batchnorm(cc.out_c, rng);
+      BatchNorm2d bn_dw = shifted_batchnorm(cc.in_c, rng);
+      std::vector<float> inv_std;
+      std::vector<float> inv_std_dw;
+      for (const bool relu : {false, true}) {
+        SCOPED_TRACE(relu ? "BatchNorm2d + ReLU" : "BatchNorm2d");
+        const std::vector<float> want_bn =
+            bn_relu_reference(want, bn, plane, relu);
+        const std::vector<float> want_bn_dw =
+            bn_relu_reference(want_dw, bn_dw, plane, relu);
+        EXPECT_EQ(eval_forward(conv, bn, relu, x), want_bn);
+        EXPECT_EQ(eval_forward(dw, bn_dw, relu, x), want_bn_dw);
+        const Lanes fused = conv.infer_fused(chunk, bn, relu);
+        const Lanes fused_dw = dw.infer_fused(chunk, bn_dw, relu);
+        EXPECT_EQ(fused.unpack().vec(), want_bn);
+        EXPECT_EQ(fused_dw.unpack().vec(), want_bn_dw);
+        EXPECT_TRUE(unused_lanes_zero(fused));
+        EXPECT_TRUE(unused_lanes_zero(fused_dw));
+        if (relu) {
+          outputs += want_bn.size();
+          rectified += static_cast<std::size_t>(
+              std::count(want_bn.begin(), want_bn.end(), 0.0F));
+        }
+      }
 
       for (const auto& variant : tensor::detail::gemm_variants()) {
         if (!variant.supported) continue;
         SCOPED_TRACE(variant.name);
-        EXPECT_EQ(lane_kernel_rows(x, {cc.out_c, g.out_h(), g.out_w()},
-                                   [&](const Lanes& in, Lanes& y) {
-                                     tensor::detail::conv2d_lanes_with(
-                                         variant, in, g, cp[0]->value.data(),
-                                         cp[1]->value.data(), cc.out_c, y);
-                                   }),
-                  want);
-        EXPECT_EQ(lane_kernel_rows(x, {cc.in_c, g.out_h(), g.out_w()},
-                                   [&](const Lanes& in, Lanes& y) {
-                                     tensor::detail::depthwise_lanes_with(
-                                         variant, in, g, dp[0]->value.data(),
-                                         dp[1]->value.data(), y);
-                                   }),
-                  want_dw);
+        for (const bool relu : {false, true}) {
+          for (const bool with_bn : {false, true}) {
+            SCOPED_TRACE(::testing::Message() << "bn " << with_bn << " relu "
+                                              << relu);
+            tensor::LaneEpilogue epilogue{.relu = relu};
+            tensor::LaneEpilogue epilogue_dw{.relu = relu};
+            if (with_bn) {
+              epilogue = bn.lane_epilogue(cc.out_c, inv_std, relu);
+              epilogue_dw = bn_dw.lane_epilogue(cc.in_c, inv_std_dw, relu);
+            }
+            const auto expect = [&](std::vector<float> y, BatchNorm2d& norm) {
+              if (with_bn) return bn_relu_reference(y, norm, plane, relu);
+              if (relu) {
+                for (float& v : y) v = v > 0.0F ? v : 0.0F;
+              }
+              return y;
+            };
+            EXPECT_EQ(lane_kernel_rows(x, {cc.out_c, g.out_h(), g.out_w()},
+                                       [&](const Lanes& in, Lanes& y) {
+                                         tensor::detail::conv2d_lanes_with(
+                                             variant, in, g,
+                                             cp[0]->value.data(),
+                                             cp[1]->value.data(), cc.out_c, y,
+                                             epilogue);
+                                       }),
+                      expect(want, bn));
+            EXPECT_EQ(lane_kernel_rows(x, {cc.in_c, g.out_h(), g.out_w()},
+                                       [&](const Lanes& in, Lanes& y) {
+                                         tensor::detail::depthwise_lanes_with(
+                                             variant, in, g,
+                                             dp[0]->value.data(),
+                                             dp[1]->value.data(), y,
+                                             epilogue_dw);
+                                       }),
+                      expect(want_dw, bn_dw));
+          }
+        }
       }
     }
+  }
+  // The ReLU cases are only a test if the ReLU clamps a good share.
+  EXPECT_GT(rectified * 4, outputs);
+}
+
+/// The bit patterns of `v`, so NaNs compare equal to themselves.
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+// A padded Conv2d with a +inf weight: the im2col GEMM multiplies it by
+// every padding tap's 0, giving NaN, and the lane kernels walk the padding
+// too, so infer() gives forward(x, false)'s bits, NaNs included.
+TEST(ConvForward, InfiniteWeightMeetsPaddingAsTheTrainingForwardDoes) {
+  util::Rng rng(25);
+  Conv2d conv(3, 4, 3, 1, 1, rng);
+  std::vector<Parameter*> cp = conv.parameters();
+  randomize(*cp[1], rng);
+  cp[0]->value[0] = std::numeric_limits<float>::infinity();  // oc 0, (0,0,0)
+  const Tensor x = Tensor::randn({5, 3, 5, 7}, rng);
+  const std::vector<float> want = conv.forward(x, false).vec();
+  ASSERT_TRUE(std::isnan(want[0]));  // output (0, 0) reads padding there
+  EXPECT_EQ(bits(lane_infer(conv, x).vec()), bits(want));
+  const tensor::ConvGeometry g{3, 5, 7, 3, 1, 1};
+  for (const auto& variant : tensor::detail::gemm_variants()) {
+    if (!variant.supported) continue;
+    SCOPED_TRACE(variant.name);
+    EXPECT_EQ(bits(lane_kernel_rows(x, {4, 5, 7},
+                                    [&](const Lanes& in, Lanes& y) {
+                                      tensor::detail::conv2d_lanes_with(
+                                          variant, in, g, cp[0]->value.data(),
+                                          cp[1]->value.data(), 4, y);
+                                    })),
+              bits(want));
   }
 }
 
