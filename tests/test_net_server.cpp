@@ -591,11 +591,18 @@ TEST(NetServer, IdleSweepSparesAConnectionWithAnAuditInFlight) {
   // The connection sends nothing while its one audit runs, so every sweep
   // during the audit sees it silent for longer than the timeout; only the
   // audit in flight keeps it open until the response is owed and sent.
+  // The uploaded model is an untrained SwinMini: its forward costs over ten
+  // times the fixture's ResNet18Mini, so the audit outlasts several sweeps
+  // however fast the conv kernels get.  The verdict itself is not checked.
+  util::Rng rng(11);
+  const auto slow = nn::make_model(nn::ArchKind::kSwinMini,
+                                   fixture().src.profile.shape,
+                                   fixture().src.profile.classes, rng);
   net::AuditRequestMsg msg;
   msg.model_id = "busy";
   msg.detector = "market";
   io::Writer writer;
-  net::encode_audit_request(writer, msg, *fixture().suspicious.model);
+  net::encode_audit_request(writer, msg, *slow);
   RawConn conn(server.port());
   conn.send(net::encode_frame(net::MsgType::kAuditRequest, 1, writer));
   net::FrameHeader header;
